@@ -60,10 +60,6 @@ def _prime_list(raw: str) -> list[int]:
         raise _UsageError(f"expected a comma-separated integer list, got {raw!r}")
 
 
-def _int_list(raw: str) -> list[int]:
-    return _prime_list(raw)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="splitlab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -93,7 +89,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sfrak-sum", parents=[common],
                        help="partial sum of the splitting series over a prime range")
-    p.add_argument("--basis", type=_int_list, default=[])
+    p.add_argument("--basis", type=_prime_list, default=[])
     p.add_argument("--prime-floor", type=int, default=2)
     p.add_argument("--prime-ceiling", type=int, required=True)
     p.add_argument("--odd-only", action="store_true")
@@ -115,7 +111,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("density-check", parents=[common],
                        help="totally split prime counts against the expected density")
-    p.add_argument("--basis", type=_int_list, default=[])
+    p.add_argument("--basis", type=_prime_list, default=[])
     p.add_argument("--prime-ceiling", type=int, required=True)
     p.add_argument("--residue", type=int, choices=(1, 3), default=None)
     p.add_argument("--per-decade", type=int, default=4)

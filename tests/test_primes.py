@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,19 @@ from splitlab.primes import (
     sieve_primes,
     smallest_nonresidue,
     squarefree_kernel,
+)
+
+
+# Primes of 64, 271, 830 and 4800 bits, on both sides of GMP_MIN_BITS. Each
+# 2**(b-1) + k is the first prime of its form, checked with sympy.isprime.
+SIZED_PRIMES = (2**63 + 29, 2**270 + 127, 2**829 + 197, 2**4799 + 755)
+MODEXP_SAMPLES = (
+    list(range(2, 600))
+    + [3215031751, 2**61 - 1, 10**18 + 9, 10**24 + 7, 10**24 + 9]
+    + [10**25 + 13, 10**25 + 11, (10**13 + 37) * (10**13 + 61)]
+    + [6 * 10**40 + k for k in range(40)]
+    + [(2**399 + 51) * (2**399 + 485)]  # product of two 400-bit primes
+    + list(SIZED_PRIMES)
 )
 
 
@@ -92,17 +106,50 @@ class TestIsPrime:
         assert not is_prime((10**13 + 37) * (10**13 + 61))
 
     def test_pure_python_backend_agrees(self, monkeypatch):
+        # Both modexp paths on the same inputs: libgmp above GMP_MIN_BITS,
+        # CPython pow below it, and pow everywhere with the GMP handle off.
         import splitlab.primes as primes_mod
 
-        samples = (
-            list(range(2, 600))
-            + [3215031751, 2**61 - 1, 10**18 + 9, 10**24 + 7, 10**24 + 9]
-            + [10**25 + 13, 10**25 + 11, (10**13 + 37) * (10**13 + 61)]
-            + [6 * 10**40 + k for k in range(40)]
-        )
-        with_gmpy2 = [is_prime(n) for n in samples]
-        monkeypatch.setattr(primes_mod, "_HAVE_GMPY2", False)
-        assert [is_prime(n) for n in samples] == with_gmpy2
+        if primes_mod._gmp() is None:
+            pytest.skip("libgmp is not installed, so pow is the only modexp path")
+        for n in MODEXP_SAMPLES:
+            for a in (2, 3, 37):
+                assert primes_mod._powmod(a, n - 1, n) == pow(a, n - 1, n), (a, n)
+        with_gmp = [is_prime(n) for n in MODEXP_SAMPLES]
+
+        lib, powm_calls = primes_mod._gmp(), []
+
+        class CountingGmp:
+            def __getattr__(self, name):
+                if name == "__gmpz_powm":
+                    powm_calls.append(name)
+                return getattr(lib, name)
+
+        monkeypatch.setattr(primes_mod, "_gmp", CountingGmp)
+        for n in SIZED_PRIMES:
+            assert primes_mod._powmod(2, n - 1, n) == 1
+        assert len(powm_calls) == sum(
+            n.bit_length() >= primes_mod.GMP_MIN_BITS for n in SIZED_PRIMES
+        ) == 3
+
+        monkeypatch.setattr(primes_mod, "_gmp", lambda: None)
+        assert [is_prime(n) for n in MODEXP_SAMPLES] == with_gmp
+        assert with_gmp[-len(SIZED_PRIMES) :] == [True] * len(SIZED_PRIMES)
+        assert [n.bit_length() for n in SIZED_PRIMES] == [64, 271, 830, 4800]
+
+    def test_gmp_powmod_at_every_size(self, monkeypatch):
+        import splitlab.primes as primes_mod
+
+        if primes_mod._gmp() is None:
+            pytest.skip("libgmp is not installed, so pow is the only modexp path")
+        monkeypatch.setattr(primes_mod, "GMP_MIN_BITS", 1)
+        rng = random.Random(4)
+        for bits in (1, 2, 8, 63, 64, 65, 95, 96, 97, 128, 521, 1024):
+            for _ in range(20):
+                n = rng.getrandbits(bits) | 1
+                a, e = rng.randrange(3 * n), rng.getrandbits(bits + 5)
+                assert primes_mod._powmod(a, e, n) == pow(a, e, n), (a, e, n)
+            assert primes_mod._powmod(a, 0, n) == pow(a, 0, n)
 
 
 class TestKronecker:

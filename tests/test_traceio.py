@@ -122,3 +122,23 @@ class TestVerification:
         broken["stages"][0]["certified_inequalities"][0]["holds"] = False
         issues = verify_trace_doc(broken)
         assert any("does not hold" in msg for msg in issues)
+
+    def test_quadratic_doc_stores_no_verdicts(self, quad_doc):
+        assert quad_doc["stages"][0]["certified_inequalities"] == []
+
+    def test_quadratic_doc_with_stored_verdicts_still_verifies(self, quad_doc):
+        # Earlier versions stored one always-true flag per prescribed prime.
+        # Such documents stay valid, and a flag set to false is still reported.
+        old = copy.deepcopy(quad_doc)
+        old["stages"][0]["certified_inequalities"] = [
+            {"name": f"splitting at {p} is {kind}", "lhs": 1.0, "rhs": 1.0, "holds": True}
+            for kind in ("split", "inert", "ramified")
+            for p in old["params"][kind]
+        ]
+        assert len(old["stages"][0]["certified_inequalities"]) == 2
+        assert verify_trace_doc(json.loads(dumps_canonical(old))) == []
+        old["stages"][0]["certified_inequalities"][1]["holds"] = False
+        issues = verify_trace_doc(old)
+        assert issues == [
+            "stage 1: stored certificate 'splitting at 3 is inert' does not hold"
+        ]
