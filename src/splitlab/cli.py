@@ -150,7 +150,7 @@ def _series_doc(report: series.SeriesReport, command: str) -> dict:
             if report.per_prime_terms is None
             else [[p, e, f, t] for p, e, f, t in report.per_prime_terms]
         ),
-        "chunk_size": report.chunk_size,
+        "chunk_size": None,  # kept so version-1 documents keep their keys
     }
 
 

@@ -12,11 +12,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from .multiquadratic import MultiquadField, totally_split
-from .primes import DEFAULT_SIEVE_CEILING, iter_primes
-from .series import KahanSum
+import numpy as np
+
+from .multiquadratic import MultiquadField
+from .primes import DEFAULT_SIEVE_CEILING
+from .scan import scan
 
 _MIN_X = 100
 
@@ -54,6 +56,34 @@ def _check_args(x: int, residue_filter: Optional[int]) -> None:
         raise ValueError(f"residue filter must be 1 or 3 (mod 4), got {residue_filter}")
 
 
+def _split_primes(
+    field: MultiquadField, x: int, residue_filter: Optional[int], sieve_ceiling: int
+) -> Iterator[np.ndarray]:
+    """The totally split primes <= x in the residue class, one array per segment."""
+    for p, e, f in scan(field, 2, x, sieve_ceiling=sieve_ceiling):
+        split = (e == 1) & (f == 1)
+        if residue_filter is not None:
+            split &= p % 4 == residue_filter
+        yield p[split]
+
+
+def _reports(
+    field: MultiquadField, marks: list[int], residue_filter: Optional[int], sieve_ceiling: int
+) -> list[DensityReport]:
+    """One report per increasing mark, from a single scan up to the last."""
+    counts = np.zeros(len(marks), dtype=np.int64)
+    for split in _split_primes(field, marks[-1], residue_filter, sieve_ceiling):
+        counts += np.searchsorted(split, marks, side="right")
+    density = _expected_density(field, residue_filter)
+    basis = tuple(b.value for b in field.basis)
+    reports = []
+    for mark, count in zip(marks, counts.tolist()):
+        expected = density * mark / math.log(mark)
+        ratio = count / expected if expected > 0 else math.inf if count else 1.0
+        reports.append(DensityReport(basis, mark, count, expected, ratio, residue_filter))
+    return reports
+
+
 def count_totally_split(
     field: MultiquadField,
     x: int,
@@ -63,22 +93,7 @@ def count_totally_split(
 ) -> DensityReport:
     """Exact count of totally split primes <= x, with the Chebotarev expectation."""
     _check_args(x, residue_filter)
-    count = 0
-    for p in iter_primes(2, x, ceiling=sieve_ceiling):
-        if residue_filter is not None and p % 4 != residue_filter:
-            continue
-        if totally_split(field, p):
-            count += 1
-    expected = _expected_density(field, residue_filter) * x / math.log(x)
-    ratio = count / expected if expected > 0 else math.inf if count else 1.0
-    return DensityReport(
-        field_basis=tuple(b.value for b in field.basis),
-        x=x,
-        count=count,
-        expected=expected,
-        ratio=ratio,
-        residue_filter=residue_filter,
-    )
+    return _reports(field, [x], residue_filter, sieve_ceiling)[0]
 
 
 def reciprocal_sum_totally_split(
@@ -90,13 +105,11 @@ def reciprocal_sum_totally_split(
 ) -> float:
     """Sum of 1/p over totally split primes p <= x (diverges as x grows)."""
     _check_args(x, residue_filter)
-    acc = KahanSum()
-    for p in iter_primes(2, x, ceiling=sieve_ceiling):
-        if residue_filter is not None and p % 4 != residue_filter:
-            continue
-        if totally_split(field, p):
-            acc.add(1.0 / p)
-    return acc.value
+    return math.fsum(
+        1.0 / p
+        for split in _split_primes(field, x, residue_filter, sieve_ceiling)
+        for p in split.tolist()
+    )
 
 
 def density_checkpoints(
@@ -116,29 +129,7 @@ def density_checkpoints(
         marks.append(round(mark))
         mark *= factor
     marks.append(x)
-    density = _expected_density(field, residue_filter)
-    reports = []
-    count = 0
-    it = iter_primes(2, x, ceiling=sieve_ceiling)
-    p = next(it, None)
-    for mark in marks:
-        while p is not None and p <= mark:
-            if (residue_filter is None or p % 4 == residue_filter) and totally_split(field, p):
-                count += 1
-            p = next(it, None)
-        expected = density * mark / math.log(mark)
-        ratio = count / expected if expected > 0 else math.inf if count else 1.0
-        reports.append(
-            DensityReport(
-                field_basis=tuple(b.value for b in field.basis),
-                x=mark,
-                count=count,
-                expected=expected,
-                ratio=ratio,
-                residue_filter=residue_filter,
-            )
-        )
-    return reports
+    return _reports(field, marks, residue_filter, sieve_ceiling)
 
 
 def reports_to_csv(reports: list[DensityReport]) -> str:

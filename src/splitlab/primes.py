@@ -21,7 +21,7 @@ DEFAULT_SIEVE_CEILING = 10**8
 DEFAULT_AP_BUDGET = 10**7
 DEFAULT_TRIAL_CEILING = 10**7
 
-_SEGMENT = 1 << 22
+_SEGMENT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,14 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def iter_primes(lo: int, hi: int, *, ceiling: int = DEFAULT_SIEVE_CEILING) -> Iterator[int]:
-    """Yield primes in [lo, hi] in increasing order via a segmented sieve."""
+def prime_segments(
+    lo: int, hi: int, *, ceiling: int = DEFAULT_SIEVE_CEILING
+) -> Iterator[np.ndarray]:
+    """Primes in [lo, hi] as increasing int64 arrays, one per sieve segment.
+
+    Only one segment of _SEGMENT integers is held at a time, so memory does
+    not grow with the range.
+    """
     if hi > ceiling:
         raise ResourceBudgetError(
             f"sieve ceiling {ceiling} exceeded: requested primes up to {hi}"
@@ -59,20 +65,26 @@ def iter_primes(lo: int, hi: int, *, ceiling: int = DEFAULT_SIEVE_CEILING) -> It
     lo = max(lo, 2)
     if hi < lo:
         return
-    base = _simple_sieve(math.isqrt(hi))
+    base = _simple_sieve(math.isqrt(hi)).tolist()
     start = lo
     while start <= hi:
         stop = min(start + _SEGMENT - 1, hi)
         flags = np.ones(stop - start + 1, dtype=bool)
         for p in base:
-            p = int(p)
+            if p * p > stop:
+                break
             first = max(p * p, ((start + p - 1) // p) * p)
-            if first > stop:
-                continue
             flags[first - start :: p] = False
-        for q in np.flatnonzero(flags):
-            yield start + int(q)
+        segment = np.flatnonzero(flags) + start
+        if segment.size:
+            yield segment
         start = stop + 1
+
+
+def iter_primes(lo: int, hi: int, *, ceiling: int = DEFAULT_SIEVE_CEILING) -> Iterator[int]:
+    """Yield primes in [lo, hi] in increasing order via a segmented sieve."""
+    for segment in prime_segments(lo, hi, ceiling=ceiling):
+        yield from segment.tolist()
 
 
 def sieve_primes(rng: PrimeRange, *, ceiling: int = DEFAULT_SIEVE_CEILING) -> list[int]:

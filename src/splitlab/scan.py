@@ -1,0 +1,101 @@
+"""Local data (e, f) of every prime in a range, one sieve segment at a time.
+
+The kernel evaluates the residue symbol of each basis atom (-1, or a prime
+dividing a generator) on a whole segment of primes with numpy:
+
+- an atom of absolute value below _TABLE_BELOW by a table of the Jacobi
+  symbol (a | p), which depends only on p mod 4|a| (quadratic reciprocity);
+- a larger atom by the Euler criterion a^((p-1)/2) mod p in int64, with the
+  atom first reduced mod p over 31-bit limbs, so it may have any size.
+
+For an odd prime dividing no generator, a generator's symbol is the product
+of its atoms' symbols: f = 2 iff some basis symbol is -1, and e = 1.  The
+prime 2, the primes dividing a generator and primes too large for int64
+squaring go through the scalar local_data, which stays the reference.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+from .multiquadratic import MultiquadField, local_data
+from .primes import DEFAULT_SIEVE_CEILING, kronecker, prime_segments
+
+# Atoms below this get a lookup table of 4|a| entries, built with one
+# kronecker call per entry.  Larger ones pay the Euler criterion: on the
+# primes to 10^7, 0.25 s for a 39-bit atom against 5 ms for a table lookup.
+_TABLE_BELOW = 1 << 12
+
+# Euler's criterion squares residues below p in int64: exact while
+# (p - 1)**2 < 2**63.  Primes from here on take the scalar path.
+_INT64_EXACT_BELOW = 3_037_000_500
+
+_LIMB_BITS = 31
+
+
+def _jacobi_table(a: int) -> np.ndarray:
+    """(a | r) for r in [0, 4|a|); zero at even r, which no odd prime hits."""
+    return np.array(
+        [kronecker(a, r) if r % 2 else 0 for r in range(4 * abs(a))], dtype=np.int8
+    )
+
+
+def _limbs(a: int) -> list[int]:
+    """The positive integer a in base 2**31, most significant limb first."""
+    limbs = []
+    while a:
+        limbs.append(a & ((1 << _LIMB_BITS) - 1))
+        a >>= _LIMB_BITS
+    return limbs[::-1]
+
+
+def _euler_is_nonresidue(limbs: list[int], p: np.ndarray) -> np.ndarray:
+    """a^((p-1)/2) == -1 (mod p) for the atom a given by its limbs.
+
+    Every p must be odd and below _INT64_EXACT_BELOW.
+    """
+    base = np.zeros_like(p)
+    for limb in limbs:  # Horner: base * 2**31 + limb stays below 2**63
+        base = ((base << _LIMB_BITS) + limb) % p
+    power = np.ones_like(p)
+    exponent = (p - 1) >> 1
+    while True:
+        power = np.where(exponent & 1, power * base % p, power)
+        exponent >>= 1
+        if not exponent.any():
+            return power == p - 1
+        base = base * base % p
+
+
+def scan(
+    field: MultiquadField,
+    lo: int,
+    hi: int,
+    *,
+    sieve_ceiling: int = DEFAULT_SIEVE_CEILING,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (p, e, f) int64 arrays for the primes in [lo, hi], one per segment.
+
+    Equal, prime by prime, to (p, local_data(field, p).e, local_data(field, p).f).
+    """
+    basis = [b.atoms for b in field.basis]
+    atoms = sorted(set().union(*basis))
+    tables = {a: _jacobi_table(a) for a in atoms if abs(a) < _TABLE_BELOW}
+    limbs = {a: _limbs(a) for a in atoms if abs(a) >= _TABLE_BELOW}
+    special = np.array(sorted({2} | {a for a in atoms if 2 < a <= hi}), dtype=np.int64)
+    for p in prime_segments(lo, hi, ceiling=sieve_ceiling):
+        scalar = np.isin(p, special) | (p >= _INT64_EXACT_BELOW)
+        odd = np.where(scalar, 3, p)  # a harmless odd modulus in scalar slots
+        nonresidue = {a: tables[a][odd % len(tables[a])] < 0 for a in tables}
+        nonresidue.update((a, _euler_is_nonresidue(limbs[a], odd)) for a in limbs)
+        inert = np.zeros(p.shape, dtype=bool)
+        for row in basis:  # a generator's symbol is -1 iff an odd number of atoms' are
+            inert |= np.logical_xor.reduce([nonresidue[a] for a in row])
+        e = np.ones_like(p)
+        f = inert + 1
+        for i in np.flatnonzero(scalar).tolist():
+            data = local_data(field, int(p[i]))
+            e[i], f[i] = data.e, data.f
+        yield p, e, f

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import VerificationError
 from .multiquadratic import MultiquadField, local_data
 from .primes import DEFAULT_SIEVE_CEILING, PrimeRange, iter_primes
+from .scan import scan
 
 
 class KahanSum:
@@ -44,7 +45,6 @@ class SeriesReport:
 
     tail_upper_bound, when present, rigorously bounds the series beyond
     prime_hi; per_prime_terms carries the (p, e, f, term) breakdown on request.
-    chunk_size records the deterministic summation chunking.
     """
 
     field_degree: int
@@ -53,7 +53,6 @@ class SeriesReport:
     partial_sum: float
     tail_upper_bound: Optional[float] = None
     per_prime_terms: Optional[tuple[tuple[int, int, int, float], ...]] = None
-    chunk_size: Optional[int] = None
 
     @property
     def total_upper_bound(self) -> Optional[float]:
@@ -83,45 +82,33 @@ def partial_sum(
     *,
     include_two: bool = True,
     with_terms: bool = False,
-    chunk_size: Optional[int] = None,
     sieve_ceiling: int = DEFAULT_SIEVE_CEILING,
 ) -> SeriesReport:
-    """Sum of series terms over the primes in rng, compensated accumulation.
+    """Sum of series terms over the primes in rng, correctly rounded.
 
     include_two=False restricts to odd primes (the prime 2 is otherwise
-    included using its exact local data).  Chunks are summed independently
-    and combined in order, so a fixed chunk_size fixes the result bit-for-bit.
+    included using its exact local data).  Each term is computed exactly as
+    series_term computes it, and math.fsum rounds their exact sum once, so
+    the result does not depend on order or on how the range is segmented.
     """
-    terms: list[tuple[int, int, int, float]] = []
-    chunk_totals: list[float] = []
-    acc = KahanSum()
-    count_in_chunk = 0
-    for p in iter_primes(rng.lo, rng.hi, ceiling=sieve_ceiling):
-        if p == 2 and not include_two:
-            continue
-        data = local_data(field, p)
-        term = math.log(p) / (data.e * (float(p) ** data.f + 1.0))
-        acc.add(term)
-        count_in_chunk += 1
-        if with_terms:
-            terms.append((p, data.e, data.f, term))
-        if chunk_size is not None and count_in_chunk >= chunk_size:
-            chunk_totals.append(acc.value)
-            acc = KahanSum()
-            count_in_chunk = 0
-    if chunk_size is not None:
-        if count_in_chunk:
-            chunk_totals.append(acc.value)
-        acc = KahanSum()
-        for t in chunk_totals:
-            acc.add(t)
+    kept: list[tuple[int, int, int, float]] = []
+
+    def terms() -> Iterator[float]:
+        lo = rng.lo if include_two else max(rng.lo, 3)
+        for p, e, f in scan(field, lo, rng.hi, sieve_ceiling=sieve_ceiling):
+            ps, es, fs = p.tolist(), e.tolist(), f.tolist()
+            seg = [math.log(q) / (a * (float(q) ** b + 1.0)) for q, a, b in zip(ps, es, fs)]
+            if with_terms:
+                kept.extend(zip(ps, es, fs, seg))
+            yield from seg
+
+    total = math.fsum(terms())
     return SeriesReport(
         field_degree=field.degree,
         prime_lo=rng.lo,
         prime_hi=rng.hi,
-        partial_sum=acc.value,
-        per_prime_terms=tuple(terms) if with_terms else None,
-        chunk_size=chunk_size,
+        partial_sum=total,
+        per_prime_terms=tuple(kept) if with_terms else None,
     )
 
 
@@ -179,7 +166,6 @@ def tower_sum(
             + ", ".join(map(str, uncertified[:20]))
             + ("..." if len(uncertified) > 20 else "")
         )
-    acc = KahanSum()
     terms = []
     for p, stage in selected:
         data = local_data(stages[stage], p)
@@ -191,14 +177,11 @@ def tower_sum(
                     f"stabilization certificate for p={p} at stage {stage} is "
                     f"contradicted at stage {later}"
                 )
-        term = math.log(p) / (data.e * (float(p) ** data.f + 1.0))
-        acc.add(term)
-        if with_terms:
-            terms.append((p, data.e, data.f, term))
+        terms.append((p, data.e, data.f, math.log(p) / (data.e * (float(p) ** data.f + 1.0))))
     return SeriesReport(
         field_degree=stages[-1].degree,
         prime_lo=rng.lo,
         prime_hi=rng.hi,
-        partial_sum=acc.value,
+        partial_sum=math.fsum(t[3] for t in terms),
         per_prime_terms=tuple(terms) if with_terms else None,
     )

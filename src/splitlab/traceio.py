@@ -204,6 +204,38 @@ def trace_from_doc(doc: dict) -> ConstructionTrace:
 # ---------------------------------------------------------------------------
 
 
+def _check_block(
+    issues: list[str], stage: dict, block: list[int], span: str, last: int,
+    field: MultiquadField, target: float,
+) -> float:
+    """Check a stage's block against the primes of `span`, re-summed on `field`.
+
+    The builder stops at the first prime whose term lifts the Kahan sum to the
+    target, so the block must end at `last` and the sum before that prime must
+    fall short.  Returns the recomputed block sum.
+    """
+    k, stored = stage["index"], stage["block_sum"]
+    if block != list(stage["block_primes"]):
+        issues.append(f"stage {k}: block primes differ from the range {span}")
+    acc = KahanSum()
+    before_last = 0.0
+    for p in block:
+        before_last = acc.value
+        acc.add(series_term(field, p))
+    if abs(acc.value - stored) > _SUM_TOL:
+        issues.append(f"stage {k}: recomputed block sum {acc.value} != stored {stored}")
+    if acc.value < target:
+        issues.append(f"stage {k}: block sum {acc.value} below target {target}")
+    if not block or block[-1] != last:
+        issues.append(f"stage {k}: the last block prime is not {last}")
+    elif before_last >= target:
+        issues.append(
+            f"stage {k}: block sum {before_last} before its last prime already "
+            f"reaches target {target}"
+        )
+    return acc.value
+
+
 def _verify_thm12(doc: dict, sieve_ceiling: int) -> list[str]:
     issues: list[str] = []
     target = float(doc["params"].get("sum_target", 1.0))
@@ -223,18 +255,8 @@ def _verify_thm12(doc: dict, sieve_ceiling: int) -> list[str]:
             for p in iter_primes(max(2, n_prev), n_k - 1, ceiling=sieve_ceiling)
             if p % 4 == 3
         ]
-        if block != list(stage["block_primes"]):
-            issues.append(f"stage {k}: block primes differ from the range [{n_prev}, {n_k})")
-        acc = KahanSum()
-        for p in block:
-            acc.add(series_term(previous, p))
-        if abs(acc.value - stage["block_sum"]) > _SUM_TOL:
-            issues.append(
-                f"stage {k}: recomputed block sum {acc.value} != stored {stage['block_sum']}"
-            )
-        if acc.value < target:
-            issues.append(f"stage {k}: block sum {acc.value} below target {target}")
-        total.add(acc.value)
+        span = f"[{n_prev}, {n_k})"
+        total.add(_check_block(issues, stage, block, span, n_k - 1, previous, target))
         f_new = MultiquadField.from_generators([added])
         if not linearly_disjoint(previous, f_new):
             issues.append(f"stage {k}: new field is not linearly disjoint")
@@ -277,17 +299,7 @@ def _verify_prop71(doc: dict, sieve_ceiling: int) -> list[str]:
         p_i = added.value
         n_i = stage["n"]
         block = list(iter_primes(n_prev + 1, n_i, ceiling=sieve_ceiling))
-        if block != list(stage["block_primes"]):
-            issues.append(f"stage {i}: block primes differ from the range ({n_prev}, {n_i}]")
-        acc = KahanSum()
-        for p in block:
-            acc.add(series_term(previous, p))
-        if abs(acc.value - stage["block_sum"]) > _SUM_TOL:
-            issues.append(
-                f"stage {i}: recomputed block sum {acc.value} != stored {stage['block_sum']}"
-            )
-        if acc.value < target:
-            issues.append(f"stage {i}: block sum {acc.value} below target {target}")
+        _check_block(issues, stage, block, f"({n_prev}, {n_i}]", n_i, previous, target)
         if p_i % 4 != 1:
             issues.append(f"stage {i}: prime {p_i} is not 1 mod 4")
         if p_i <= max(n_i, p_prev):

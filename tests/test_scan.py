@@ -1,0 +1,111 @@
+"""The vectorised scan kernel against the scalar local_data oracle."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splitlab.multiquadratic import MultiquadField, local_data, totally_split
+from splitlab.primes import _SEGMENT, PrimeRange, iter_primes
+from splitlab.quadratic import SquarefreeInt
+from splitlab.scan import _INT64_EXACT_BELOW, _TABLE_BELOW, scan
+from splitlab.series import partial_sum, series_term
+
+# Generators as (sign, prime divisors), so that no test pays for factoring.
+GENERATORS = [
+    SquarefreeInt.from_prime_factors(sign, primes)
+    for sign, primes in [
+        (-1, ()),
+        (1, (2,)),
+        (1, (3,)),
+        (1, (5,)),
+        (1, (7,)),
+        (1, (13,)),
+        (1, (4093,)),  # the largest prime with a lookup table
+        (1, (4099,)),  # the smallest prime on the Euler criterion
+        (1, (262_147,)),  # ramified just past the first segment boundary
+        (1, (460_322_471_827,)),  # 39 bits
+        (1, (2**89 - 1,)),  # a Mersenne prime beyond 64 bits
+        (-1, (2**61 - 1,)),
+        (1, (3, 5)),
+        (-1, (2, 3)),
+        (-1, (5, 7)),
+    ]
+]
+assert 4093 < _TABLE_BELOW < 4099
+
+
+@st.composite
+def fields(draw):
+    return MultiquadField.from_generators(
+        draw(st.lists(st.sampled_from(GENERATORS), max_size=5))
+    )
+
+
+@st.composite
+def ranges(draw):
+    kind = draw(st.sampled_from(["from_two", "odd_start", "boundary"]))
+    if kind == "from_two":
+        return 2, draw(st.integers(2, 4000))
+    if kind == "odd_start":
+        lo = draw(st.integers(3, 40_000))
+        return lo, lo + draw(st.integers(0, 4000))
+    return (
+        draw(st.integers(_SEGMENT - 3000, _SEGMENT)),
+        draw(st.integers(_SEGMENT, _SEGMENT + 3000)),
+    )
+
+
+def _kernel_rows(field, lo, hi, **kwargs):
+    rows = []
+    for p, e, f in scan(field, lo, hi, **kwargs):
+        assert len(p) == len(e) == len(f)
+        rows.extend(zip(p.tolist(), e.tolist(), f.tolist()))
+    return rows
+
+
+def _scalar_rows(field, lo, hi, **kwargs):
+    rows = []
+    for p in iter_primes(lo, hi, ceiling=kwargs.get("sieve_ceiling", 10**8)):
+        data = local_data(field, p)
+        rows.append((p, data.e, data.f))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields(), ranges())
+def test_kernel_equals_scalar_local_data(field, bounds):
+    lo, hi = bounds
+    rows = _kernel_rows(field, lo, hi)
+    assert rows == _scalar_rows(field, lo, hi)
+    for p, e, f in rows:
+        assert (e == 1 and f == 1) == totally_split(field, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields(), ranges())
+def test_partial_sum_terms_match_scalar_loop(field, bounds):
+    lo, hi = bounds
+    report = partial_sum(field, PrimeRange(lo, hi), include_two=False, with_terms=True)
+    want = []
+    for p in iter_primes(max(lo, 3), hi):
+        data = local_data(field, p)
+        want.append((p, data.e, data.f, series_term(field, p)))
+    assert list(report.per_prime_terms) == want
+    assert report.partial_sum == math.fsum(t[3] for t in want)
+
+
+@pytest.mark.parametrize("middle", [_INT64_EXACT_BELOW, 2**32])
+def test_primes_past_int64_squaring_take_the_scalar_path(middle):
+    # Euler's criterion in int64 overflows past the bound, and near 2**32
+    # almost every product does; the kernel hands those primes to local_data.
+    field = MultiquadField.from_generators([GENERATORS[i] for i in (0, 2, 7, 9)])
+    lo, hi = middle - 2000, middle + 2000
+    rows = _kernel_rows(field, lo, hi, sieve_ceiling=hi)
+    assert any(p < middle for p, _, _ in rows) and any(p >= middle for p, _, _ in rows)
+    assert rows == _scalar_rows(field, lo, hi, sieve_ceiling=hi)
+
+
+def test_empty_range_yields_nothing():
+    assert _kernel_rows(MultiquadField.from_generators([5]), 24, 28) == []

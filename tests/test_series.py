@@ -79,11 +79,16 @@ class TestPartialSum:
         b = partial_sum(GAUSS, PrimeRange(2, 5000)).partial_sum
         assert b > a
 
-    def test_chunking_is_recorded_and_consistent(self):
-        whole = partial_sum(Q, PrimeRange(2, 10_000))
-        chunked = partial_sum(Q, PrimeRange(2, 10_000), chunk_size=100)
-        assert chunked.chunk_size == 100
-        assert chunked.partial_sum == pytest.approx(whole.partial_sum, abs=1e-12)
+    def test_equals_fsum_of_series_terms(self):
+        # the ranges cross sieve segment boundaries (every 2**18 integers)
+        for gens, lo, hi in (
+            ([], 2, 300_000),
+            ([-1, 2, 15], 3, 600_000),
+            ([-6, 7, 262_147], 250_000, 530_000),
+        ):
+            field = MultiquadField.from_generators(gens)
+            want = math.fsum(series_term(field, p) for p in iter_primes(lo, hi))
+            assert partial_sum(field, PrimeRange(lo, hi)).partial_sum == want
 
     def test_per_prime_terms(self):
         report = partial_sum(GAUSS, PrimeRange(2, 13), with_terms=True)

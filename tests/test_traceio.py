@@ -10,6 +10,9 @@ from splitlab.constructions import (
     construct_prescribed_quadratic,
 )
 from splitlab.errors import VerificationError
+from splitlab.multiquadratic import MultiquadField
+from splitlab.primes import iter_primes
+from splitlab.series import KahanSum, series_term
 from splitlab.traceio import (
     dumps_canonical,
     quadratic_doc,
@@ -18,6 +21,29 @@ from splitlab.traceio import (
     validate_schema,
     verify_trace_doc,
 )
+
+
+# A divergence tower whose last block can grow by one prime p = 3 (mod 4)
+# with every other check still passing: its last field happens to split or
+# inert, as prescribed, each prime up to that next one.
+EXTENSIBLE_THM12 = (2, 0.7)
+
+
+def _extend_last_block(doc, residue_mod_4=None):
+    """The doc with its last block one prime longer and its sum and n to match."""
+    doc = copy.deepcopy(doc)
+    stage, below = doc["stages"][-1], doc["stages"][-2]
+    field = MultiquadField.from_generators([b["value"] for b in below["cumulative_field"]])
+    last = stage["block_primes"][-1]
+    q = next(p for p in iter_primes(last + 1, 2 * last)
+             if residue_mod_4 is None or p % 4 == residue_mod_4)
+    stage["block_primes"].append(q)
+    acc = KahanSum()
+    for p in stage["block_primes"]:
+        acc.add(series_term(field, p))
+    stage["block_sum"] = acc.value
+    stage["n"] = q + 1 if residue_mod_4 is not None else q
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +129,31 @@ class TestVerification:
         broken["stages"][0]["field_added"] = {"value": 3, "factors": [[3, 1]]}
         issues = verify_trace_doc(broken)
         assert any("not" in msg for msg in issues)
+
+    def test_thm12_block_extended_by_one_prime_detected(self):
+        doc = trace_to_doc(build_divergence_tower(*EXTENSIBLE_THM12))
+        issues = verify_trace_doc(_extend_last_block(doc, residue_mod_4=3))
+        assert len(issues) == 1
+        assert "before its last prime already reaches target" in issues[0]
+
+    def test_prop71_block_extended_by_one_prime_detected(self, prop71_doc):
+        issues = verify_trace_doc(_extend_last_block(prop71_doc))
+        assert len(issues) == 1
+        assert "before its last prime already reaches target" in issues[0]
+
+    def test_thm12_threshold_past_last_block_prime_detected(self, thm12_doc):
+        broken = copy.deepcopy(thm12_doc)
+        broken["stages"][-1]["n"] += 1  # the range gains no prime
+        issues = verify_trace_doc(broken)
+        last = broken["stages"][-1]["block_primes"][-1]
+        assert issues == [f"stage 2: the last block prime is not {last + 1}"]
+
+    def test_prop71_threshold_past_last_block_prime_detected(self, prop71_doc):
+        broken = copy.deepcopy(prop71_doc)
+        broken["stages"][-1]["n"] += 1  # the range gains no prime
+        issues = verify_trace_doc(broken)
+        n = broken["stages"][-1]["n"]
+        assert issues == [f"stage 2: the last block prime is not {n}"]
 
     def test_tampered_widmer_detected(self, prop71_doc):
         broken = copy.deepcopy(prop71_doc)
