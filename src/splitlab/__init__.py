@@ -31,7 +31,6 @@ from .multiquadratic import (
     totally_split,
 )
 from .series import (
-    KahanSum,
     SeriesReport,
     StabilizationCertificate,
     partial_sum,
@@ -58,7 +57,6 @@ __all__ = [
     "ConstructionTrace",
     "DensityReport",
     "FactoredInt",
-    "KahanSum",
     "LocalData",
     "MultiquadField",
     "NorthcottBounds",

@@ -256,6 +256,9 @@ def _cmd_adjoin_i_bound(args) -> None:
     _, sieve, _, _ = _budgets(args)
     with open(args.trace_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    issues = traceio.verify_trace_doc(doc, sieve_ceiling=sieve)
+    if issues:
+        raise VerificationError("; ".join(issues[:5]))
     trace = traceio.trace_from_doc(doc)
     report = constructions.certify_adjoin_i_convergence(
         trace, args.prime_ceiling, sieve_ceiling=sieve

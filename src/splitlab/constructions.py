@@ -26,13 +26,14 @@ from .primes import (
     find_prime_in_ap,
     is_prime,
     iter_primes,
+    prime_segments,
     smallest_nonresidue,
 )
 from .quadratic import SplittingType, SquarefreeInt, splitting_type
 from .series import (
-    KahanSum,
     SeriesReport,
     StabilizationCertificate,
+    first_reaching,
     series_term,
     tail_bound_fully_inert,
 )
@@ -252,47 +253,35 @@ def _scan_block(
     sieve_ceiling: int,
     stage_label: str,
 ) -> tuple[list[int], float, int]:
-    """Accumulate series terms over primes (filtered) from `start` until the
-    target is reached; returns (block primes, certified sum, last prime)."""
-    acc = KahanSum()
+    """Collect series terms over primes (filtered) from `start` until their
+    math.fsum reaches the target; returns (block primes, block sum, last prime)."""
     block: list[int] = []
+    terms: list[float] = []
     lo = start + 1 if lo_exclusive else start
-    lo = max(lo, 2)
-    window = max(lo, 64)
-    while True:
-        hi = min(window * 4, sieve_ceiling)
-        if hi < lo:
-            raise ResourceBudgetError(
-                f"{stage_label}: block scan exhausted the sieve ceiling {sieve_ceiling}"
-            )
-        for p in iter_primes(lo, hi, ceiling=sieve_ceiling):
-            if residue_filter is not None and p % residue_filter[1] != residue_filter[0]:
-                continue
-            acc.add(series_term(field, p))
-            block.append(p)
-            if acc.value >= target:
-                return block, acc.value, p
-        if hi >= sieve_ceiling:
-            raise ResourceBudgetError(
-                f"{stage_label}: block scan exhausted the sieve ceiling {sieve_ceiling}"
-            )
-        lo, window = hi + 1, hi
+    for segment in prime_segments(lo, sieve_ceiling, ceiling=sieve_ceiling):
+        if residue_filter is not None:
+            segment = segment[segment % residue_filter[1] == residue_filter[0]]
+        primes = segment.tolist()
+        block += primes
+        terms += [series_term(field, p) for p in primes]
+        k = first_reaching(terms, target)
+        if k is not None:
+            return block[:k], math.fsum(terms[:k]), block[k - 1]
+    raise ResourceBudgetError(
+        f"{stage_label}: block scan exhausted the sieve ceiling {sieve_ceiling}"
+    )
 
 
 def _smallest_split_aux_prime(
     field: MultiquadField, *, sieve_ceiling: int
 ) -> int:
     """Smallest prime q = 1 (mod 4) that splits totally in the field."""
-    lo, hi = 5, 4096
-    while True:
-        for q in iter_primes(lo, min(hi, sieve_ceiling), ceiling=sieve_ceiling):
-            if q % 4 == 1 and totally_split(field, q):
-                return q
-        if hi >= sieve_ceiling:
-            raise ResourceBudgetError(
-                f"no totally split auxiliary prime below the sieve ceiling {sieve_ceiling}"
-            )
-        lo, hi = hi + 1, hi * 4
+    for q in iter_primes(5, sieve_ceiling, ceiling=sieve_ceiling):
+        if q % 4 == 1 and totally_split(field, q):
+            return q
+    raise ResourceBudgetError(
+        f"no totally split auxiliary prime below the sieve ceiling {sieve_ceiling}"
+    )
 
 
 def _check(name: str, lhs: float, rhs: float, holds: bool) -> CertifiedInequality:
@@ -418,15 +407,13 @@ def build_divergence_tower(
         )
         current, n_prev = grown, n_k
 
-    total = KahanSum()
-    for s in stages:
-        total.add(s.block_sum)
+    total = math.fsum(s.block_sum for s in stages)
     global_certs = (
         _check(
             "total certified block sum",
-            total.value,
+            total,
             num_stages * sum_target_per_block,
-            total.value >= num_stages * sum_target_per_block,
+            total >= num_stages * sum_target_per_block,
         ),
     )
     params = {
@@ -463,15 +450,15 @@ def certify_adjoin_i_convergence(
     ramified = set()
     for b in top.basis:
         ramified.update(p for p, _ in b.factored.factors)
-    acc = KahanSum()
-    for p in iter_primes(2, prime_ceiling, ceiling=sieve_ceiling):
-        e = 2 if (p % 4 == 1 and p in ramified) else 1
-        acc.add(math.log(p) / (e * (float(p) ** 2 + 1.0)))
+    partial = math.fsum(
+        math.log(p) / ((2 if p % 4 == 1 and p in ramified else 1) * (float(p) ** 2 + 1.0))
+        for p in iter_primes(2, prime_ceiling, ceiling=sieve_ceiling)
+    )
     return SeriesReport(
         field_degree=2 * top.degree,
         prime_lo=2,
         prime_hi=prime_ceiling,
-        partial_sum=acc.value,
+        partial_sum=partial,
         tail_upper_bound=tail_bound_fully_inert(prime_ceiling),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .primes import DEFAULT_SIEVE_CEILING, is_prime, iter_primes
-from .series import KahanSum
+from .series import first_reaching
 
 _TAIL_PARTIAL_CEILING = 10**6
 
@@ -38,12 +38,9 @@ def northcott_bounds(primes: Sequence[int]) -> NorthcottBounds:
             raise ValueError(f"{p} is not prime")
         if i and p == ordered[i - 1]:
             raise ValueError(f"duplicate prime {p}")
-    lo = KahanSum()
-    hi = KahanSum()
-    for p in ordered:
-        lo.add(math.log(p) / (p + 1))
-        hi.add(math.log(p) / (p - 1))
-    return NorthcottBounds(tuple(ordered), 0.5 * lo.value, hi.value)
+    lo = math.fsum(math.log(p) / (p + 1) for p in ordered)
+    hi = math.fsum(math.log(p) / (p - 1) for p in ordered)
+    return NorthcottBounds(tuple(ordered), 0.5 * lo, hi)
 
 
 def select_prime_window(
@@ -90,21 +87,19 @@ def select_prime_window(
         raise ValueError(f"no prime below {tail_ceiling} has term under epsilon={epsilon}")
     c = max(j, l)
 
-    upper = KahanSum()
-    window: list[int] = []
-    idx = c
-    while True:
-        if idx >= len(primes):
+    # The window is the longest run from c whose upper sum stays within 2r,
+    # i.e. one prime short of the first prefix whose sum exceeds 2r; upper
+    # terms are computed in doubling chunks until that prefix appears.
+    over = math.nextafter(2.0 * r, math.inf)
+    terms: list[float] = []
+    while (k := first_reaching(terms, over)) is None:
+        if c + len(terms) >= len(primes):
             raise ValueError(
                 f"window exceeded the prime ceiling {tail_ceiling}; raise it or shrink r"
             )
-        p = primes[idx]
-        term = math.log(p) / (p - 1)
-        if upper.value + term > 2.0 * r:
-            break
-        upper.add(term)
-        window.append(p)
-        idx += 1
+        chunk = primes[c + len(terms) : c + 2 * len(terms) + 64]
+        terms += [math.log(p) / (p - 1) for p in chunk]
+    window = primes[c : c + k - 1]
     if not window:
         raise ValueError(
             f"infeasible: log(p)/(p-1) at the window start p={primes[c]} already "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -21,6 +22,7 @@ DEFAULT_SIEVE_CEILING = 10**8
 DEFAULT_AP_BUDGET = 10**7
 DEFAULT_TRIAL_CEILING = 10**7
 
+_FIRST_SEGMENT = 1 << 10
 _SEGMENT = 1 << 18
 
 
@@ -55,8 +57,9 @@ def prime_segments(
 ) -> Iterator[np.ndarray]:
     """Primes in [lo, hi] as increasing int64 arrays, one per sieve segment.
 
-    Only one segment of _SEGMENT integers is held at a time, so memory does
-    not grow with the range.
+    Segments grow geometrically from _FIRST_SEGMENT to _SEGMENT integers and
+    only one is held at a time, so memory does not grow with the range and
+    the generator is cheap to abandon early.
     """
     if hi > ceiling:
         raise ResourceBudgetError(
@@ -66,9 +69,9 @@ def prime_segments(
     if hi < lo:
         return
     base = _simple_sieve(math.isqrt(hi)).tolist()
-    start = lo
+    start, size = lo, _FIRST_SEGMENT
     while start <= hi:
-        stop = min(start + _SEGMENT - 1, hi)
+        stop = min(start + size - 1, hi)
         flags = np.ones(stop - start + 1, dtype=bool)
         for p in base:
             if p * p > stop:
@@ -78,7 +81,7 @@ def prime_segments(
         segment = np.flatnonzero(flags) + start
         if segment.size:
             yield segment
-        start = stop + 1
+        start, size = stop + 1, min(4 * size, _SEGMENT)
 
 
 def iter_primes(lo: int, hi: int, *, ceiling: int = DEFAULT_SIEVE_CEILING) -> Iterator[int]:
@@ -391,38 +394,34 @@ class FactoredInt:
     def from_int(cls, n: int, *, trial_ceiling: int = DEFAULT_TRIAL_CEILING) -> "FactoredInt":
         """Factor n by trial division up to trial_ceiling.
 
-        A remaining cofactor is accepted only if it passes the primality
-        battery; anything else is rejected rather than guessed at.
+        Division stops as soon as the cofactor is 1 or passes the primality
+        battery, which is tested on n and after each prime factor is divided
+        out.  A cofactor still composite at the ceiling is rejected rather
+        than guessed at.
         """
         if n == 0:
             raise ValueError("cannot factor 0")
         sign = 1 if n > 0 else -1
         n = abs(n)
         factors: list[tuple[int, int]] = []
-        for p in (2, 3):
-            if n % p == 0:
+        settled = n == 1 or is_prime(n)
+        wheel = (d + step for d in range(5, trial_ceiling + 1, 6) for step in (0, 2))
+        for q in itertools.chain((2, 3), wheel):  # 2, 3, then 6k-1, 6k+1
+            if settled:
+                break
+            if n % q == 0:
                 a = 0
-                while n % p == 0:
-                    n //= p
+                while n % q == 0:
+                    n //= q
                     a += 1
-                factors.append((p, a))
-        d = 5
-        while d <= trial_ceiling and d * d <= n:
-            for step in (0, 2):  # 6k-1, 6k+1 wheel
-                q = d + step
-                if n % q == 0:
-                    a = 0
-                    while n % q == 0:
-                        n //= q
-                        a += 1
-                    factors.append((q, a))
-            d += 6
+                factors.append((q, a))
+                settled = n == 1 or is_prime(n)
+        if not settled:
+            raise ValueError(
+                f"cofactor {n} is composite with no prime factor below "
+                f"the trial ceiling {trial_ceiling}; refusing to guess"
+            )
         if n > 1:
-            if not is_prime(n):
-                raise ValueError(
-                    f"cofactor {n} is composite with no prime factor below "
-                    f"the trial ceiling {trial_ceiling}; refusing to guess"
-                )
             factors.append((n, 1))
         factors.sort()
         return cls(sign, tuple(factors))

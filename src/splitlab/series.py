@@ -19,24 +19,23 @@ from .primes import DEFAULT_SIEVE_CEILING, PrimeRange, iter_primes
 from .scan import scan
 
 
-class KahanSum:
-    """Compensated accumulator; keeps the running error out of the sum."""
+def first_reaching(terms: Sequence[float], target: float) -> Optional[int]:
+    """Length of the shortest prefix of non-negative terms whose math.fsum
+    reaches target, or None if no prefix does.
 
-    __slots__ = ("total", "carry")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.carry = 0.0
-
-    def add(self, value: float) -> None:
-        value += self.carry
-        fresh = self.total + value
-        self.carry = value - (fresh - self.total)
-        self.total = fresh
-
-    @property
-    def value(self) -> float:
-        return self.total
+    fsum rounds each prefix's exact sum once, so prefix sums never decrease
+    and the crossing can be found by bisection.
+    """
+    if math.fsum(terms) < target:
+        return None
+    lo, hi = 0, len(terms)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.fsum(terms[:mid]) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,12 @@ def test_acceptance_04_divergence_tower_three_stages():
         assert trace.accepted
         assert len(trace.stages) == 3
         assert trace.stages[0].n == last + 1 == 8
+        assert [s.n for s in trace.stages] == [8, 84, 2880]
+        fields = trace.stage_fields()
         for stage in trace.stages:
-            assert stage.block_sum >= delta
+            terms = [series_term(fields[stage.index - 1], p) for p in stage.block_primes]
+            assert stage.block_sum == math.fsum(terms) >= delta
+            assert math.fsum(terms[:-1]) < delta
         report = tower_sum(
             trace.stage_fields(),
             PrimeRange(2, trace.stages[-1].n - 1),

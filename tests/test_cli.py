@@ -167,6 +167,21 @@ class TestPipelines:
         doc = json.loads(out)
         assert doc["total_upper_bound"] < 0.6
 
+    def test_adjoin_i_bound_verifies_its_trace(self, capsys, tmp_path):
+        code, out, _ = capture(capsys, ["thm12-tower", "--stages", "1"])
+        assert code == 0
+        doc = json.loads(out)
+        doc["stages"][0]["block_sum"] += 0.5  # every stored flag still reads true
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = capture(
+            capsys, ["adjoin-i-bound", "--in", str(path), "--prime-ceiling", "1000"]
+        )
+        assert code == 3 and out == ""
+        diag = json.loads(err.strip().splitlines()[-1])
+        assert diag["error"]["kind"] == "verification"
+        assert "recomputed block sum" in diag["error"]["message"]
+
     def test_quadratic_verify_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "quad.json"
         code, _, _ = capture(

@@ -13,6 +13,7 @@ from splitlab.primes import (
     find_prime_in_ap,
     is_prime,
     kronecker,
+    prime_segments,
     sieve_primes,
     smallest_nonresidue,
     squarefree_kernel,
@@ -76,6 +77,17 @@ class TestPrimeRange:
         whole = sieve_primes(PrimeRange(2, 10_000))
         split = sieve_primes(PrimeRange(2, 4999)) + sieve_primes(PrimeRange(5000, 10_000))
         assert whole == split
+
+    def test_segments_grow_geometrically(self):
+        # spans of 2^10, 2^12, 2^14, 2^16 integers, then 2^18 each
+        lo, hi = 1000, 1000 + (1 << 10) + (1 << 12) + (1 << 14) + (1 << 16) + 3 * (1 << 18)
+        segments = [s.tolist() for s in prime_segments(lo, hi)]
+        edges = [lo]
+        for size in [1 << 10, 1 << 12, 1 << 14, 1 << 16] + [1 << 18] * 3:
+            edges.append(edges[-1] + size)
+        assert len(segments) == len(edges) - 1
+        for seg, start, stop in zip(segments, edges, edges[1:]):
+            assert seg == sieve_primes(PrimeRange(start, stop - 1))
 
 
 class TestIsPrime:
@@ -289,6 +301,13 @@ class TestFactoredInt:
         f = FactoredInt.from_int(12 * p, trial_ceiling=10**4)
         assert f.value == 12 * p
         assert (p, 1) in f.factors
+
+    def test_prime_cofactors_found_without_full_trial_division(self):
+        m61, m31 = 2**61 - 1, 2**31 - 1
+        assert FactoredInt.from_int(m61).factors == ((m61, 1),)
+        f = FactoredInt.from_int(-3 * m61)
+        assert (f.sign, f.factors) == (-1, ((3, 1), (m61, 1)))
+        assert FactoredInt.from_int(12 * m31).factors == ((2, 2), (3, 1), (m31, 1))
 
     def test_hard_cofactor_rejected(self):
         n = (10**9 + 7) * (10**9 + 9)

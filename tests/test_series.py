@@ -7,8 +7,8 @@ from splitlab.errors import VerificationError
 from splitlab.multiquadratic import MultiquadField, compositum
 from splitlab.primes import PrimeRange, iter_primes
 from splitlab.series import (
-    KahanSum,
     StabilizationCertificate,
+    first_reaching,
     partial_sum,
     series_term,
     tail_bound_fully_inert,
@@ -19,17 +19,34 @@ Q = MultiquadField.rationals()
 GAUSS = MultiquadField.from_generators([-1])
 
 
-class TestKahan:
-    def test_compensation_beats_naive(self):
-        values = [1e16] + [1.0] * 10_000
-        acc = KahanSum()
-        naive = 0.0
-        for v in values:
-            acc.add(v)
-            naive += v
-        exact = 1e16 + 10_000
-        assert abs(acc.value - exact) <= abs(naive - exact)
-        assert acc.value == exact
+class TestFirstReaching:
+    def test_minimal_prefix(self):
+        terms = [0.25, 0.5, 0.125, 1.0]
+        assert first_reaching(terms, 0.8) == 3
+        assert first_reaching(terms, 0.75) == 2
+        assert first_reaching(terms, 0.1) == 1
+
+    def test_exact_tie_reaches(self):
+        assert first_reaching([0.5, 0.5, 0.5], 1.0) == 2
+        assert first_reaching([0.1, 0.2, 0.3], math.fsum([0.1, 0.2])) == 2
+
+    def test_unreachable_target(self):
+        assert first_reaching([0.25, 0.5], 0.76) is None
+        assert first_reaching([], 1.0) is None
+
+    def test_single_term(self):
+        assert first_reaching([2.0], 2.0) == 1
+        assert first_reaching([2.0], math.nextafter(2.0, math.inf)) is None
+
+    def test_matches_a_linear_scan_of_fsum_prefixes(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            terms = [rng.random() * 10.0 ** rng.randint(-12, 0) for _ in range(rng.randint(1, 40))]
+            target = math.fsum(terms) * rng.random() * 1.2
+            want = next(
+                (k for k in range(len(terms) + 1) if math.fsum(terms[:k]) >= target), None
+            )
+            assert first_reaching(terms, target) == want
 
 
 class TestSeriesTerm:
@@ -175,9 +192,7 @@ class TestCompositumBound:
             left = MultiquadField.from_generators(rng.sample(atoms, rng.randint(1, 3)))
             right = MultiquadField.from_generators(rng.sample(atoms, rng.randint(1, 3)))
             both = compositum(left, right)
-            lhs = KahanSum()
-            rhs = KahanSum()
-            for p in iter_primes(2, 2000):
-                lhs.add(series_term(both, p))
-                rhs.add(min(series_term(left, p), series_term(right, p)))
-            assert lhs.value <= rhs.value + 1e-10
+            primes = list(iter_primes(2, 2000))
+            lhs = math.fsum(series_term(both, p) for p in primes)
+            rhs = math.fsum(min(series_term(left, p), series_term(right, p)) for p in primes)
+            assert lhs <= rhs + 1e-10

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 
@@ -12,7 +13,7 @@ from splitlab.constructions import (
 from splitlab.errors import VerificationError
 from splitlab.multiquadratic import MultiquadField
 from splitlab.primes import iter_primes
-from splitlab.series import KahanSum, series_term
+from splitlab.series import series_term
 from splitlab.traceio import (
     dumps_canonical,
     quadratic_doc,
@@ -27,6 +28,9 @@ from splitlab.traceio import (
 # with every other check still passing: its last field happens to split or
 # inert, as prescribed, each prime up to that next one.
 EXTENSIBLE_THM12 = (2, 0.7)
+# Earlier versions Kahan-summed blocks and stored this for stage 2 of that
+# tower: 1 ulp above the math.fsum value stored now.
+KAHAN_ERA_STAGE_2_SUM = 0.7042878484305749
 
 
 def _extend_last_block(doc, residue_mod_4=None):
@@ -38,17 +42,19 @@ def _extend_last_block(doc, residue_mod_4=None):
     q = next(p for p in iter_primes(last + 1, 2 * last)
              if residue_mod_4 is None or p % 4 == residue_mod_4)
     stage["block_primes"].append(q)
-    acc = KahanSum()
-    for p in stage["block_primes"]:
-        acc.add(series_term(field, p))
-    stage["block_sum"] = acc.value
+    stage["block_sum"] = math.fsum(series_term(field, p) for p in stage["block_primes"])
     stage["n"] = q + 1 if residue_mod_4 is not None else q
     return doc
 
 
 @pytest.fixture(scope="module")
-def thm12_doc():
-    return trace_to_doc(build_divergence_tower(2))
+def thm12_doc(thm12_two_stage):
+    return trace_to_doc(thm12_two_stage)
+
+
+@pytest.fixture(scope="module")
+def extensible_thm12_doc():
+    return trace_to_doc(build_divergence_tower(*EXTENSIBLE_THM12))
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +123,24 @@ class TestVerification:
         issues = verify_trace_doc(broken)
         assert any("block sum" in msg for msg in issues)
 
+    def test_block_sum_moved_by_1e_12_detected(self, thm12_doc):
+        broken = copy.deepcopy(thm12_doc)
+        stored = broken["stages"][1]["block_sum"]
+        broken["stages"][1]["block_sum"] = stored + 1e-12
+        issues = verify_trace_doc(broken)
+        assert issues == [
+            f"stage 2: recomputed block sum {stored} != stored {stored + 1e-12}"
+        ]
+
+    def test_kahan_era_block_sum_still_verifies(self, extensible_thm12_doc):
+        stage = extensible_thm12_doc["stages"][1]
+        assert math.nextafter(stage["block_sum"], math.inf) == KAHAN_ERA_STAGE_2_SUM
+        old = copy.deepcopy(extensible_thm12_doc)
+        old["stages"][1]["block_sum"] = KAHAN_ERA_STAGE_2_SUM
+        old["stages"][1]["certified_inequalities"][2]["lhs"] = KAHAN_ERA_STAGE_2_SUM
+        old["certificates"][0]["lhs"] = old["stages"][0]["block_sum"] + KAHAN_ERA_STAGE_2_SUM
+        assert verify_trace_doc(json.loads(dumps_canonical(old))) == []
+
     def test_tampered_threshold_detected(self, thm12_doc):
         broken = copy.deepcopy(thm12_doc)
         broken["stages"][1]["n"] -= 100
@@ -130,9 +154,8 @@ class TestVerification:
         issues = verify_trace_doc(broken)
         assert any("not" in msg for msg in issues)
 
-    def test_thm12_block_extended_by_one_prime_detected(self):
-        doc = trace_to_doc(build_divergence_tower(*EXTENSIBLE_THM12))
-        issues = verify_trace_doc(_extend_last_block(doc, residue_mod_4=3))
+    def test_thm12_block_extended_by_one_prime_detected(self, extensible_thm12_doc):
+        issues = verify_trace_doc(_extend_last_block(extensible_thm12_doc, residue_mod_4=3))
         assert len(issues) == 1
         assert "before its last prime already reaches target" in issues[0]
 
