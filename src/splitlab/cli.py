@@ -204,10 +204,6 @@ def _budgets(args) -> tuple[int, int, int, int]:
     return ap, sieve, bits, cap
 
 
-def _field_from_basis(basis: list[int]) -> MultiquadField:
-    return MultiquadField.from_generators(basis)
-
-
 def _cmd_construct_quadratic(args) -> None:
     ap, _, bits, _ = _budgets(args)
     spec = SplittingSpec(
@@ -243,7 +239,7 @@ def _cmd_tower(args, builder) -> None:
 def _cmd_sfrak_sum(args) -> None:
     _, sieve, _, _ = _budgets(args)
     report = series.partial_sum(
-        _field_from_basis(args.basis),
+        MultiquadField.from_generators(args.basis),
         PrimeRange(args.prime_floor, args.prime_ceiling),
         include_two=not args.odd_only,
         with_terms=args.terms,
@@ -256,10 +252,7 @@ def _cmd_adjoin_i_bound(args) -> None:
     _, sieve, _, _ = _budgets(args)
     with open(args.trace_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    issues = traceio.verify_trace_doc(doc, sieve_ceiling=sieve)
-    if issues:
-        raise VerificationError("; ".join(issues[:5]))
-    trace = traceio.trace_from_doc(doc)
+    trace = traceio.trace_from_doc(doc, sieve_ceiling=sieve)
     report = constructions.certify_adjoin_i_convergence(
         trace, args.prime_ceiling, sieve_ceiling=sieve
     )
@@ -295,7 +288,7 @@ def _cmd_northcott_select(args) -> None:
 
 def _cmd_density_check(args) -> None:
     _, sieve, _, _ = _budgets(args)
-    field = _field_from_basis(args.basis)
+    field = MultiquadField.from_generators(args.basis)
     reports = density.density_checkpoints(
         field,
         args.prime_ceiling,

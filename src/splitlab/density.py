@@ -122,6 +122,8 @@ def density_checkpoints(
 ) -> list[DensityReport]:
     """Reports at geometrically spaced ceilings up to x, one scan total."""
     _check_args(x, residue_filter)
+    if per_decade < 1:
+        raise ValueError(f"per_decade must be >= 1, got {per_decade}")
     marks: list[int] = []
     mark = float(_MIN_X)
     factor = 10.0 ** (1.0 / per_decade)

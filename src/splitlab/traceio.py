@@ -2,8 +2,9 @@
 
 The wire format is pinned by trace_schema.json next to this module.  Output is
 canonical (sorted keys, two-space indent, trailing newline) so identical runs
-are byte-identical.  verify_trace_dict() re-derives every certified inequality
-from scratch; a verified document proves the same facts as the original run.
+are byte-identical.  verify_trace_doc() re-derives every certified inequality
+from scratch, and trace_from_doc() rebuilds objects only from a document it
+accepts; trace_to_doc() alone gives a document its shape.
 """
 
 from __future__ import annotations
@@ -121,33 +122,20 @@ def quadratic_doc(spec: SplittingSpec, m: SquarefreeInt) -> dict:
     It stores no per-prime verdicts: the verifier re-derives the splitting at
     every prescribed prime from params and m.
     """
-    return {
-        "construction": CONSTRUCT_QUADRATIC,
-        "version": TRACE_VERSION,
-        "params": {
-            "split": sorted(spec.split),
-            "inert": sorted(spec.inert),
-            "ramified": sorted(spec.ramified),
-            "two_behavior": spec.two_behavior,
-            "signature": spec.signature,
-        },
-        "stages": [
-            {
-                "index": 1,
-                "n": 0,
-                "auxiliary_primes": [],
-                "field_added": _factored_to_doc(m),
-                "cumulative_field": [_factored_to_doc(m)],
-                "certified_inequalities": [],
-                "block_primes": [],
-                "block_sum": 0.0,
-                "widmer": None,
-            }
-        ],
-        "certificates": [],
-        "m": m.value,
-        "verified": True,
+    params = {
+        "split": sorted(spec.split),
+        "inert": sorted(spec.inert),
+        "ramified": sorted(spec.ramified),
+        "two_behavior": spec.two_behavior,
+        "signature": spec.signature,
     }
+    stage = StageRecord(
+        index=1, n=0, auxiliary_primes=(), field_added=m,
+        cumulative_field=MultiquadField.from_generators([m]),
+        certified_inequalities=(), block_primes=(), block_sum=0.0,
+    )
+    doc = trace_to_doc(ConstructionTrace(CONSTRUCT_QUADRATIC, params, (stage,), ()))
+    return {**doc, "m": m.value, "verified": True}
 
 
 @functools.lru_cache(maxsize=1)
@@ -167,15 +155,18 @@ def validate_schema(doc: Any) -> None:
         raise ValueError(f"trace does not match the schema: {error.message}") from error
 
 
-def trace_from_doc(doc: dict) -> ConstructionTrace:
-    """Rebuild a trace object, re-checking primality of every claimed factor."""
-    validate_schema(doc)
+def trace_from_doc(
+    doc: dict, *, sieve_ceiling: int = DEFAULT_SIEVE_CEILING
+) -> ConstructionTrace:
+    """Rebuild a trace from a document the verifier accepts, else raise
+    VerificationError; cumulative fields come from the proved generators."""
+    issues, proved = _verify(doc, sieve_ceiling)
+    if issues:
+        raise VerificationError("; ".join(issues[:5]))
+    field = MultiquadField.rationals()
     stages = []
-    for s in doc["stages"]:
-        added = _factored_from_doc(s["field_added"])
-        cumulative = MultiquadField.from_generators(
-            [_factored_from_doc(b) for b in s["cumulative_field"]]
-        )
+    for s, added in zip(doc["stages"], proved):
+        field = field.adjoin(added)
         widmer = None
         if s.get("widmer") is not None:
             widmer = WidmerTerm(**s["widmer"])
@@ -185,7 +176,7 @@ def trace_from_doc(doc: dict) -> ConstructionTrace:
                 n=s["n"],
                 auxiliary_primes=tuple(s["auxiliary_primes"]),
                 field_added=added,
-                cumulative_field=cumulative,
+                cumulative_field=field,
                 certified_inequalities=tuple(
                     CertifiedInequality(**c) for c in s["certified_inequalities"]
                 ),
@@ -236,7 +227,7 @@ def _check_block(
     return total
 
 
-def _verify_thm12(doc: dict, sieve_ceiling: int) -> list[str]:
+def _verify_thm12(doc: dict, sieve_ceiling: int, proved: list[SquarefreeInt]) -> list[str]:
     issues: list[str] = []
     target = float(doc["params"].get("sum_target", 1.0))
     previous = MultiquadField.rationals()
@@ -249,6 +240,7 @@ def _verify_thm12(doc: dict, sieve_ceiling: int) -> list[str]:
         except VerificationError as exc:
             issues.append(f"stage {k}: {exc}")
             continue
+        proved.append(added)
         n_k = stage["n"]
         block = [
             p
@@ -285,7 +277,7 @@ def _verify_thm12(doc: dict, sieve_ceiling: int) -> list[str]:
     return issues
 
 
-def _verify_prop71(doc: dict, sieve_ceiling: int) -> list[str]:
+def _verify_prop71(doc: dict, sieve_ceiling: int, proved: list[SquarefreeInt]) -> list[str]:
     issues: list[str] = []
     target = float(doc["params"].get("sum_target", 1.0))
     previous = MultiquadField.rationals()
@@ -299,6 +291,7 @@ def _verify_prop71(doc: dict, sieve_ceiling: int) -> list[str]:
         except VerificationError as exc:
             issues.append(f"stage {i}: {exc}")
             continue
+        proved.append(added)
         p_i = added.value
         n_i = stage["n"]
         block = list(iter_primes(n_prev + 1, n_i, ceiling=sieve_ceiling))
@@ -330,7 +323,7 @@ def _verify_prop71(doc: dict, sieve_ceiling: int) -> list[str]:
     return issues
 
 
-def _verify_quadratic(doc: dict) -> list[str]:
+def _verify_quadratic(doc: dict, proved: list[SquarefreeInt]) -> list[str]:
     params = doc["params"]
     spec = SplittingSpec(
         split=frozenset(params["split"]),
@@ -341,18 +334,19 @@ def _verify_quadratic(doc: dict) -> list[str]:
     )
     try:
         m = _factored_from_doc(doc["stages"][0]["field_added"])
+        proved.append(m)
         if m.value != doc.get("m", m.value):
             return [f"stage field {m.value} disagrees with top-level m={doc['m']}"]
+        if [[b["value"] for b in s["cumulative_field"]] for s in doc["stages"]] != [[m.value]]:
+            return ["the stages are not the one field Q(sqrt(m))"]
         _verify_prescription(m, spec)
     except VerificationError as exc:
         return [str(exc)]
     return []
 
 
-def verify_trace_doc(
-    doc: dict, *, sieve_ceiling: int = DEFAULT_SIEVE_CEILING
-) -> list[str]:
-    """Re-derive every certificate in the document; returns found problems."""
+def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], list[SquarefreeInt]]:
+    """The verifier's walk: the issues found, and each stage's proved field_added."""
     validate_schema(doc)
     issues: list[str] = []
     for where, certs in [("trace", doc["certificates"])] + [
@@ -361,13 +355,21 @@ def verify_trace_doc(
         for c in certs:
             if not c["holds"]:
                 issues.append(f"{where}: stored certificate {c['name']!r} does not hold")
+    proved: list[SquarefreeInt] = []
     kind = doc["construction"]
     if kind == THM12_TOWER:
-        issues.extend(_verify_thm12(doc, sieve_ceiling))
+        issues.extend(_verify_thm12(doc, sieve_ceiling, proved))
     elif kind == PROP71_TOWER:
-        issues.extend(_verify_prop71(doc, sieve_ceiling))
+        issues.extend(_verify_prop71(doc, sieve_ceiling, proved))
     elif kind == CONSTRUCT_QUADRATIC:
-        issues.extend(_verify_quadratic(doc))
+        issues.extend(_verify_quadratic(doc, proved))
     else:  # unreachable once the schema passed
         issues.append(f"unknown construction {kind!r}")
-    return issues
+    return issues, proved
+
+
+def verify_trace_doc(
+    doc: dict, *, sieve_ceiling: int = DEFAULT_SIEVE_CEILING
+) -> list[str]:
+    """Re-derive every certificate in the document; returns found problems."""
+    return _verify(doc, sieve_ceiling)[0]

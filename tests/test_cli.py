@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from splitlab import traceio
 from splitlab.cli import run
+from splitlab.primes import is_prime
 
 
 def run_cli(args, **kwargs):
@@ -35,6 +37,27 @@ class TestExitCodes:
         assert code == 1
         diag = json.loads(err.strip().splitlines()[-1])
         assert diag["error"]["kind"] == "invalid-argument"
+
+    @pytest.mark.parametrize("command", ["thm12-tower", "prop71-tower"])
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_non_finite_sum_target_is_one(self, capsys, command, target):
+        code, out, err = capture(
+            capsys, [command, "--stages", "1", "--sum-target", target]
+        )
+        assert code == 1 and out == ""
+        diag = json.loads(err.strip().splitlines()[-1])
+        assert diag["error"]["kind"] == "invalid-argument"
+        assert "finite and positive" in diag["error"]["message"]
+
+    def test_per_decade_zero_is_one(self, capsys):
+        code, out, err = capture(
+            capsys,
+            ["density-check", "--prime-ceiling", "1000", "--per-decade", "0"],
+        )
+        assert code == 1 and out == ""
+        diag = json.loads(err.strip().splitlines()[-1])
+        assert diag["error"]["kind"] == "invalid-argument"
+        assert "per_decade" in diag["error"]["message"]
 
     def test_unknown_flag_is_one(self, capsys):
         code, _, err = capture(capsys, ["northcott-bounds", "--primes", "2", "--frobnicate"])
@@ -181,6 +204,25 @@ class TestPipelines:
         diag = json.loads(err.strip().splitlines()[-1])
         assert diag["error"]["kind"] == "verification"
         assert "recomputed block sum" in diag["error"]["message"]
+
+    def test_adjoin_i_bound_proves_each_generator_once(
+        self, capsys, tmp_path, monkeypatch, thm12_two_stage
+    ):
+        path = tmp_path / "thm12.json"
+        path.write_text(traceio.dumps_canonical(traceio.trace_to_doc(thm12_two_stage)))
+        generator = thm12_two_stage.stages[1].field_added.value
+        tested = []
+
+        def counting_is_prime(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(traceio, "is_prime", counting_is_prime)
+        code, out, _ = capture(
+            capsys, ["adjoin-i-bound", "--in", str(path), "--prime-ceiling", "1000"]
+        )
+        assert code == 0 and json.loads(out)["field_degree"] == 8
+        assert tested.count(generator) == 1
 
     def test_quadratic_verify_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "quad.json"

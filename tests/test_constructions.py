@@ -271,6 +271,13 @@ class TestSplitPrimeTower:
         assert again.stages == prop71_two_stage.stages
 
 
+@pytest.mark.parametrize("builder", [build_divergence_tower, build_split_prime_tower])
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 0.0])
+def test_tower_rejects_non_finite_or_non_positive_sum_target(builder, target):
+    with pytest.raises(ValueError, match="finite and positive"):
+        builder(1, target)
+
+
 class TestInertCompanion:
     def test_examples(self):
         assert search_inert_companion(3, 2, "inert") == 5

@@ -94,6 +94,11 @@ class TestCheckpoints:
         assert counts == sorted(counts)
         assert reports[-1].count == count_totally_split(GAUSS, 5000).count
 
+    @pytest.mark.parametrize("per_decade", [0, -1])
+    def test_per_decade_below_one_rejected(self, per_decade):
+        with pytest.raises(ValueError, match="per_decade"):
+            density_checkpoints(Q, 1000, per_decade=per_decade)
+
     def test_csv_shape(self):
         reports = density_checkpoints(Q, 1000)
         text = reports_to_csv(reports)

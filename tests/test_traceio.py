@@ -111,6 +111,32 @@ class TestRoundTrip:
         with pytest.raises(VerificationError, match="not prime"):
             trace_from_doc(broken)
 
+    def test_quadratic_objects_survive(self, quad_doc):
+        rebuilt = trace_from_doc(quad_doc)
+        assert rebuilt.stages[0].cumulative_field.basis == (rebuilt.stages[0].field_added,)
+        doc = trace_to_doc(rebuilt)
+        assert {**doc, "m": quad_doc["m"], "verified": True} == quad_doc
+
+    def test_refuses_what_verify_rejects(self, prop71_doc, quad_doc):
+        edits = [
+            # a moved block sum, with every stored flag still reading true
+            (prop71_doc, lambda d: d["stages"][0].update(
+                block_sum=d["stages"][0]["block_sum"] + 0.5)),
+            (prop71_doc, lambda d: d["stages"][1].update(n=d["stages"][1]["n"] + 1)),
+            (prop71_doc, lambda d: d["stages"][1]["widmer"].update(log_quantity=0.001)),
+            (prop71_doc, lambda d: d["stages"][1]["cumulative_field"].pop()),
+            (prop71_doc, lambda d: d["certificates"][0].update(holds=False)),
+            (quad_doc, lambda d: d["params"].update(split=[3], inert=[5])),
+        ]
+        for doc, edit in edits:
+            broken = copy.deepcopy(doc)
+            edit(broken)
+            issues = verify_trace_doc(broken)
+            assert issues
+            with pytest.raises(VerificationError) as excinfo:
+                trace_from_doc(broken)
+            assert str(excinfo.value) == "; ".join(issues[:5])
+
 
 class TestVerification:
     def test_clean_traces_verify(self, thm12_doc, prop71_doc, quad_doc):
@@ -196,6 +222,15 @@ class TestVerification:
         broken["stages"][0]["certified_inequalities"][0]["holds"] = False
         issues = verify_trace_doc(broken)
         assert any("does not hold" in msg for msg in issues)
+
+    def test_quadratic_cumulative_field_checked(self, quad_doc):
+        for cumulative in ([], [{"value": 7, "factors": [[7, 1]]}]):
+            broken = copy.deepcopy(quad_doc)
+            broken["stages"][0]["cumulative_field"] = cumulative
+            assert verify_trace_doc(broken) == ["the stages are not the one field Q(sqrt(m))"]
+        broken = copy.deepcopy(quad_doc)
+        broken["stages"].append(copy.deepcopy(broken["stages"][0]))
+        assert verify_trace_doc(broken) == ["the stages are not the one field Q(sqrt(m))"]
 
     def test_quadratic_doc_stores_no_verdicts(self, quad_doc):
         assert quad_doc["stages"][0]["certified_inequalities"] == []
