@@ -14,6 +14,7 @@ explicit flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,6 +61,7 @@ def _prime_list(raw: str) -> list[int]:
         raise _UsageError(f"expected a comma-separated integer list, got {raw!r}")
 
 
+@functools.cache  # one per process: no command mutates a parsed default=[] list
 def build_parser() -> _Parser:
     parser = _Parser(prog="splitlab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Union
+
+import numpy as np
 
 from .errors import ResourceBudgetError, VerificationError
 from .multiquadratic import MultiquadField, is_totally_real, linearly_disjoint, totally_split
@@ -34,6 +37,7 @@ from .series import (
     SeriesReport,
     StabilizationCertificate,
     first_reaching,
+    segment_terms,
     series_term,
     tail_bound_fully_inert,
 )
@@ -441,13 +445,14 @@ def certify_adjoin_i_convergence(
     if prime_ceiling < 2:
         raise ValueError("prime_ceiling must be >= 2")
     top = trace.stages[-1].cumulative_field
-    ramified = set()
-    for b in top.basis:
-        ramified.update(p for p, _ in b.factored.factors)
-    partial = math.fsum(
-        math.log(p) / ((2 if p % 4 == 1 and p in ramified else 1) * (float(p) ** 2 + 1.0))
-        for p in iter_primes(2, prime_ceiling, ceiling=sieve_ceiling)
-    )
+    # e = 2 at ramified p = 1 (mod 4) and f = 2 everywhere; the cap keeps isin in int64
+    ramified = [
+        p for b in top.basis for p, _ in b.factored.factors if p % 4 == 1 and p <= prime_ceiling
+    ]
+    partial = math.fsum(chain.from_iterable(
+        segment_terms(p, np.isin(p, ramified) + 1, np.full_like(p, 2)).tolist()
+        for p in prime_segments(2, prime_ceiling, ceiling=sieve_ceiling)
+    ))
     return SeriesReport(
         field_degree=2 * top.degree,
         prime_lo=2,

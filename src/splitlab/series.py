@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import VerificationError
 from .multiquadratic import MultiquadField, local_data
@@ -75,6 +78,26 @@ def series_term(field: MultiquadField, p: int) -> float:
     return math.log(p) / (data.e * (float(p) ** data.f + 1.0))
 
 
+# Up to here p * p < 2**53, so the float64 square is exact and equals
+# float(p) ** 2.  Above it the two round differently for many primes
+# (first at p = 94,906,297), and those terms keep Python's power.
+_EXACT_SQUARE_UPTO = math.isqrt(1 << 53)
+
+
+def segment_terms(p: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """series_term's log(p) / (e (p^f + 1)) for int64 arrays, f in {1, 2}, bit for bit.
+
+    The logs come from math.log (np.log need not round the same way) and the
+    squares from numpy where they are exact; the rest is one float64 division.
+    """
+    x = p.astype(np.float64)
+    power = np.where(f == 2, x * x, x)
+    for i in np.flatnonzero((f == 2) & (p > _EXACT_SQUARE_UPTO)).tolist():
+        power[i] = float(p[i]) ** 2
+    logs = np.fromiter(map(math.log, p.tolist()), dtype=np.float64, count=len(p))
+    return logs / (e * (power + 1.0))
+
+
 def partial_sum(
     field: MultiquadField,
     rng: PrimeRange,
@@ -92,16 +115,15 @@ def partial_sum(
     """
     kept: list[tuple[int, int, int, float]] = []
 
-    def terms() -> Iterator[float]:
+    def segments() -> Iterator[list[float]]:
         lo = rng.lo if include_two else max(rng.lo, 3)
         for p, e, f in scan(field, lo, rng.hi, sieve_ceiling=sieve_ceiling):
-            ps, es, fs = p.tolist(), e.tolist(), f.tolist()
-            seg = [math.log(q) / (a * (float(q) ** b + 1.0)) for q, a, b in zip(ps, es, fs)]
+            seg = segment_terms(p, e, f).tolist()
             if with_terms:
-                kept.extend(zip(ps, es, fs, seg))
-            yield from seg
+                kept.extend(zip(p.tolist(), e.tolist(), f.tolist(), seg))
+            yield seg
 
-    total = math.fsum(terms())
+    total = math.fsum(chain.from_iterable(segments()))
     return SeriesReport(
         field_degree=field.degree,
         prime_lo=rng.lo,

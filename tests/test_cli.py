@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from splitlab import traceio
-from splitlab.cli import run
+from splitlab.cli import build_parser, run
 from splitlab.primes import is_prime
 
 
@@ -96,6 +96,27 @@ class TestExitCodes:
         assert report["verified"] is False and report["issues"]
         diag = json.loads(err.strip().splitlines()[-1])
         assert diag["error"]["kind"] == "verification"
+
+    @pytest.mark.parametrize(
+        "build, check",
+        [
+            (["thm12-tower", "--stages", "1"], ["verify"]),
+            (["thm12-tower", "--stages", "1"], ["adjoin-i-bound", "--prime-ceiling", "1000", "--in"]),
+            (["construct-quadratic", "--split", "5", "--inert", "3"], ["verify"]),
+        ],
+    )
+    def test_trace_without_stages_is_one(self, capsys, tmp_path, build, check):
+        code, out, _ = capture(capsys, build)
+        assert code == 0
+        doc = json.loads(out)
+        doc["stages"] = []
+        path = tmp_path / "no_stages.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = capture(capsys, check + [str(path)])
+        assert code == 1 and out == ""
+        diag = json.loads(err.strip().splitlines()[-1])
+        assert diag["error"]["kind"] == "invalid-argument"
+        assert "does not match the schema" in diag["error"]["message"]
 
     def test_missing_file_is_one(self, capsys):
         code, _, _ = capture(capsys, ["verify", "/nonexistent/trace.json"])
@@ -261,3 +282,16 @@ class TestDeterminism:
         second = capture(capsys, args)
         assert first == second
         assert first[0] == 0
+
+    def test_shared_parser_keeps_calls_apart(self, capsys):
+        # One parser serves every call in a process; a call must not see
+        # another call's lists, nor leave anything in a flag's default.
+        assert build_parser() is build_parser()
+        five = ["construct-quadratic", "--split", "5", "--inert", "3"]
+        first = capture(capsys, five)
+        seven = capture(capsys, ["construct-quadratic", "--split", "7", "--inert", "11"])
+        bare = capture(capsys, ["construct-quadratic", "--inert", "3"])
+        assert capture(capsys, five) == first
+        assert json.loads(first[1])["params"]["split"] == [5]
+        assert json.loads(seven[1])["params"]["split"] == [7]
+        assert json.loads(bare[1])["params"]["split"] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -166,6 +167,21 @@ class TestDivergenceTower:
         report = certify_adjoin_i_convergence(thm12_two_stage, 2)
         assert report.partial_sum == pytest.approx(math.log(2) / 5, abs=1e-15)
         assert math.isfinite(report.total_upper_bound)
+
+    def test_adjoin_i_bound_terms_at_ramified_primes(self, thm12_two_stage):
+        # Honest towers ramify no small prime 1 mod 4, so put some into the
+        # top field to reach the e = 2 terms, and check them bit for bit.
+        gens = [-1, 5, 13, 7 * 17]
+        top = dataclasses.replace(
+            thm12_two_stage.stages[-1], cumulative_field=MultiquadField.from_generators(gens)
+        )
+        trace = dataclasses.replace(thm12_two_stage, stages=(top,))
+        ramified = {5, 13, 7, 17}
+        want = math.fsum(
+            math.log(p) / ((2 if p % 4 == 1 and p in ramified else 1) * (float(p) ** 2 + 1.0))
+            for p in iter_primes(2, 10**5)
+        )
+        assert certify_adjoin_i_convergence(trace, 10**5).partial_sum == want
 
     def test_adjoin_i_bound_monotone_in_ceiling(self, thm12_two_stage):
         loose = certify_adjoin_i_convergence(thm12_two_stage, 10**3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitlab import scan as scan_module
 from splitlab.multiquadratic import MultiquadField, local_data, totally_split
 from splitlab.primes import _SEGMENT, PrimeRange, iter_primes
 from splitlab.quadratic import SquarefreeInt
@@ -109,3 +110,46 @@ def test_primes_past_int64_squaring_take_the_scalar_path(middle):
 
 def test_empty_range_yields_nothing():
     assert _kernel_rows(MultiquadField.from_generators([5]), 24, 28) == []
+
+
+BIG = 460_322_471_827  # 39 bits
+
+
+def _generator(sign, primes):
+    return SquarefreeInt.from_prime_factors(sign, primes)
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        # two big atoms beside tabled generators
+        [(-1, ()), (1, (3,)), (1, (2**61 - 1,)), (1, (BIG,))],
+        # a generator mixing a big atom with tabled atoms: -5 * BIG
+        [(1, (7,)), (-1, (5, BIG)), (1, (13,))],
+        # two big atoms in one generator, one of them also alone
+        [(1, (11,)), (1, (2**61 - 1, BIG)), (-1, (BIG,))],
+        # only big-atom generators, so every prime reaches the Euler criterion
+        [(1, (2**61 - 1,)), (-1, (BIG,)), (1, (2**89 - 1,))],
+    ],
+)
+@pytest.mark.parametrize("bounds", [(2, 20_000), (_SEGMENT - 3000, _SEGMENT + 3000)])
+def test_big_atoms_against_scalar_local_data(generators, bounds):
+    field = MultiquadField.from_generators([_generator(*g) for g in generators])
+    assert _kernel_rows(field, *bounds) == _scalar_rows(field, *bounds)
+
+
+def test_euler_criterion_skips_inert_primes(monkeypatch):
+    # Once a tabled generator makes p inert, f = 2 whatever the big atom says,
+    # so the Euler criterion sees only the primes all four small ones split:
+    # about 1/16 of them.
+    asked = []
+    euler = scan_module._euler_is_nonresidue
+
+    def counting(limbs, p):
+        asked.append(len(p))
+        return euler(limbs, p)
+
+    monkeypatch.setattr(scan_module, "_euler_is_nonresidue", counting)
+    field = MultiquadField.from_generators([_generator(1, (q,)) for q in (5, 7, 11, 19, BIG)])
+    scanned = sum(len(p) for p, _, _ in scan(field, 2, 10**6))
+    assert 0 < sum(asked) <= scanned / 8

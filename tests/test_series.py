@@ -107,6 +107,18 @@ class TestPartialSum:
             want = math.fsum(series_term(field, p) for p in iter_primes(lo, hi))
             assert partial_sum(field, PrimeRange(lo, hi)).partial_sum == want
 
+    def test_terms_bit_identical_where_float_squares_round(self):
+        # Past 94,906,265 the float64 square p * p is inexact, and for many
+        # primes it rounds differently from float(p) ** 2 (the first is
+        # 94,906,297); f = 2 terms there must still equal series_term.
+        field = MultiquadField.from_generators([-1, 2, 3, 5, 7])
+        report = partial_sum(field, PrimeRange(94_906_000, 95_000_000), with_terms=True)
+        terms = report.per_prime_terms
+        assert [(p, e, f, series_term(field, p)) for p, e, f, _ in terms] == list(terms)
+        assert (94_906_297, 1, 2) in [t[:3] for t in terms]
+        assert sum(f == 2 for _, _, f, _ in terms) > 0.9 * len(terms)
+        assert any(f == 2 and float(p) * float(p) != float(p) ** 2 for p, _, f, _ in terms)
+
     def test_per_prime_terms(self):
         report = partial_sum(GAUSS, PrimeRange(2, 13), with_terms=True)
         assert [t[:3] for t in report.per_prime_terms] == [
