@@ -101,7 +101,8 @@ class TestExitCodes:
         "build, check",
         [
             (["thm12-tower", "--stages", "1"], ["verify"]),
-            (["thm12-tower", "--stages", "1"], ["adjoin-i-bound", "--prime-ceiling", "1000", "--in"]),
+            (["thm12-tower", "--stages", "1"],
+             ["adjoin-i-bound", "--prime-ceiling", "1000", "--in"]),
             (["construct-quadratic", "--split", "5", "--inert", "3"], ["verify"]),
         ],
     )
