@@ -33,12 +33,12 @@ from .primes import (
     smallest_nonresidue,
 )
 from .quadratic import SplittingType, SquarefreeInt, splitting_type
+from .scan import scan
 from .series import (
     SeriesReport,
     StabilizationCertificate,
     first_reaching,
     segment_terms,
-    series_term,
     tail_bound_fully_inert,
 )
 
@@ -262,12 +262,12 @@ def _scan_block(
     block: list[int] = []
     terms: list[float] = []
     lo = start + 1 if lo_exclusive else start
-    for segment in prime_segments(lo, sieve_ceiling, ceiling=sieve_ceiling):
+    for p, e, f in scan(field, lo, sieve_ceiling, sieve_ceiling=sieve_ceiling):
         if residue_filter is not None:
-            segment = segment[segment % residue_filter[1] == residue_filter[0]]
-        primes = segment.tolist()
-        block += primes
-        terms += [series_term(field, p) for p in primes]
+            keep = p % residue_filter[1] == residue_filter[0]
+            p, e, f = p[keep], e[keep], f[keep]
+        block += p.tolist()
+        terms += segment_terms(p, e, f).tolist()
         k = first_reaching(terms, target)
         if k is not None:
             return block[:k], math.fsum(terms[:k]), block[k - 1]

@@ -19,6 +19,7 @@ squaring go through the scalar local_data, which stays the reference.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -39,11 +40,14 @@ _INT64_EXACT_BELOW = 3_037_000_500
 _LIMB_BITS = 31
 
 
+@functools.lru_cache(maxsize=64)  # at most 1 MB; tower builds re-scan the same atoms
 def _jacobi_table(a: int) -> np.ndarray:
     """(a | r) for r in [0, 4|a|); zero at even r, which no odd prime hits."""
-    return np.array(
+    table = np.array(
         [kronecker(a, r) if r % 2 else 0 for r in range(4 * abs(a))], dtype=np.int8
     )
+    table.flags.writeable = False
+    return table
 
 
 def _limbs(a: int) -> list[int]:

@@ -15,6 +15,7 @@ from splitlab.constructions import (
     build_divergence_tower,
     build_split_prime_tower,
     certify_adjoin_i_convergence,
+    _scan_block,
     construct_prescribed_quadratic,
     search_inert_companion,
 )
@@ -203,6 +204,21 @@ class TestDivergenceTower:
         # n_3 = 11,057,864: the prescription modulus needs ~16M bits
         with pytest.raises(ResourceBudgetError, match="stage 3"):
             build_divergence_tower(3)
+
+
+def test_scan_block_equals_scalar_series_terms():
+    # A mixed field, a residue filter and a block that runs over several
+    # sieve segments: the block, its sum and its last prime all come from
+    # series_term prime by prime.
+    field = MultiquadField.from_generators([3, 7, 460_322_471_827])
+    block, block_sum, last_p = _scan_block(
+        field, 1009, 0.3, residue_filter=(3, 4), lo_exclusive=True,
+        sieve_ceiling=10**7, stage_label="test",
+    )
+    primes = [p for p in iter_primes(1010, last_p) if p % 4 == 3]
+    terms = [series_term(field, p) for p in primes]
+    assert block == primes and block[-1] == last_p and block[-1] > 1 << 14
+    assert block_sum == math.fsum(terms) >= 0.3 > math.fsum(terms[:-1])
 
 
 class TestSplitPrimeTower:

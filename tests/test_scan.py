@@ -153,3 +153,11 @@ def test_euler_criterion_skips_inert_primes(monkeypatch):
     field = MultiquadField.from_generators([_generator(1, (q,)) for q in (5, 7, 11, 19, BIG)])
     scanned = sum(len(p) for p, _, _ in scan(field, 2, 10**6))
     assert 0 < sum(asked) <= scanned / 8
+
+
+def test_jacobi_tables_are_shared_read_only():
+    # Tables are cached across scans, so no caller may write into one.
+    table = scan_module._jacobi_table(-7)
+    assert scan_module._jacobi_table(-7) is table
+    with pytest.raises(ValueError):
+        table[1] = 0

@@ -1,15 +1,16 @@
 """Parent-against-change benchmark pairs, summarised into one JSON file.
 
     python3 tools/bench_compare.py PARENT_DIR CHANGE_DIR --out BENCH.json \
-        [--workloads scan towers prescribe] [--seeds 1 2 ... 10] [--seconds 30]
+        [--workloads scan towers prescribe] [--seeds 1 2 ... 10]
 
 PARENT_DIR and CHANGE_DIR are two checkouts (git clones, so each run record
 names its commit). For every workload and seed, one pair runs
-perfbench/run.py once in each checkout, the two in alternating order from pair
-to pair, so that a drift of the machine's speed falls on both sides alike. The run records that
-perfbench writes to .perfbench_out/ are read back, and the output holds
-every run plus, per side, the median and quartiles of setup_s, wall_ref and
-peak_rss_mb.
+perfbench/run.py once in each checkout at the benchmark's own run length,
+the two in alternating order from pair to pair, so that a drift of the
+machine's speed falls on both sides alike. The run records that perfbench
+writes to .perfbench_out/ are read back, and the output holds the command
+that made it, every run plus, per side, the median and quartiles of
+setup_s, wall_ref and peak_rss_mb.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from pathlib import Path
 METRICS = ("wall_ref", "setup_s", "peak_rss_mb")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, timeout=900, check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -60,18 +61,19 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", nargs="+", default=["scan", "towers", "prescribe"])
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    doc = {"seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
+    command = (f"python3 tools/bench_compare.py PARENT CHANGE --out {args.out.name}"
+               f" --workloads {' '.join(args.workloads)} --seeds {' '.join(map(str, args.seeds))}")
+    doc = {"command": command, "seeds": args.seeds, "workloads": {}}
     envs = {}
     for workload in args.workloads:
         runs = {side: [] for side in sides}
         for i, seed in enumerate(args.seeds):
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             for side in order:
-                out = run_once(sides[side], workload, seed, args.seconds)
+                out = run_once(sides[side], workload, seed)
                 runs[side].append(out["run"])
                 envs[side] = out["env"]
                 print(f"{workload} seed {seed} {side}: {out['run']}", file=sys.stderr)
