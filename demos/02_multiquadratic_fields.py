@@ -10,7 +10,6 @@ same class arithmetic.
 
 from splitlab import (
     MultiquadField,
-    contains_sqrt,
     is_totally_real,
     linearly_disjoint,
     local_data,
@@ -20,7 +19,7 @@ from splitlab import (
 field = MultiquadField.from_generators([2, 3])
 print("Q(sqrt2, sqrt3): degree", field.degree)
 for m in (6, -6, 5):
-    print(f"  contains sqrt({m})?", contains_sqrt(field, m))
+    print(f"  contains sqrt({m})?", field.contains_sqrt(m))
 
 print("\nAdjoining a dependent class does nothing:")
 print("  adjoin 6 ->", [b.value for b in field.adjoin(6).basis])

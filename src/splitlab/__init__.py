@@ -22,9 +22,7 @@ from .quadratic import (
 )
 from .multiquadratic import (
     MultiquadField,
-    adjoin,
     compositum,
-    contains_sqrt,
     is_totally_real,
     linearly_disjoint,
     local_data,
@@ -70,13 +68,11 @@ __all__ = [
     "StabilizationCertificate",
     "VerificationError",
     "WidmerTerm",
-    "adjoin",
     "build_divergence_tower",
     "build_split_prime_tower",
     "certify_adjoin_i_convergence",
     "compositum",
     "construct_prescribed_quadratic",
-    "contains_sqrt",
     "count_totally_split",
     "crt_solve",
     "discriminant",

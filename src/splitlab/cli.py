@@ -42,16 +42,29 @@ def _env(name: str) -> Optional[str]:
     return os.environ.get(_ENV_PREFIX + name)
 
 
-def _resolve_int(flag: Optional[int], env_name: str, default: int) -> int:
-    if flag is not None:
-        return flag
+# budget name: (SPLITLAB_ variable, default)
+_BUDGETS = {
+    "ap": ("BUDGET_AP", DEFAULT_AP_BUDGET),
+    "sieve": ("BUDGET_SIEVE", DEFAULT_SIEVE_CEILING),
+    "modulus bits": ("MODULUS_BITS", constructions.DEFAULT_MODULUS_BIT_BUDGET),
+    "stage cap": ("STAGE_CAP", constructions.DEFAULT_STAGE_CAP),
+}
+
+
+def _budget(name: str, flag: Optional[int] = None) -> int:
+    """One budget from its flag, its SPLITLAB_ variable or its default; it must be positive."""
+    env_name, value = _BUDGETS[name]
     raw = _env(env_name)
-    if raw is not None:
+    if flag is not None:
+        value = flag
+    elif raw is not None:
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ValueError(f"environment {_ENV_PREFIX}{env_name}={raw!r} is not an integer")
-    return default
+    if value <= 0:
+        raise ValueError(f"budget {name} must be positive, got {value}")
+    return value
 
 
 def _prime_list(raw: str) -> list[int]:
@@ -63,70 +76,70 @@ def _prime_list(raw: str) -> list[int]:
 
 @functools.cache  # one per process: no command mutates a parsed default=[] list
 def build_parser() -> _Parser:
+    """The splitlab parser; each subcommand offers exactly the settings it reads."""
     parser = _Parser(prog="splitlab", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "human"), default=None)
-    common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--budget-ap", type=int, default=None, metavar="N")
-    common.add_argument("--budget-sieve", type=int, default=None, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("construct-quadratic", parents=[common],
-                       help="quadratic field with prescribed splitting")
+    def command(name: str, help: str, budgets=(), formats=("json", "human")) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=formats, default=None)
+        p.add_argument("--out", metavar="PATH", default=None)
+        for budget in budgets:
+            p.add_argument(f"--budget-{budget}", type=int, default=None, metavar="N")
+        p.set_defaults(formats=formats)
+        return p
+
+    p = command("construct-quadratic", "quadratic field with prescribed splitting", ["ap"])
     p.add_argument("--split", type=_prime_list, default=[])
     p.add_argument("--inert", type=_prime_list, default=[])
     p.add_argument("--ramified", type=_prime_list, default=[])
     p.add_argument("--two", choices=("split", "inert", "ramified"), default=None)
     p.add_argument("--signature", choices=("real", "complex"), default="real")
 
-    p = sub.add_parser("thm12-tower", parents=[common],
-                       help="divergence tower with certified stages")
+    p = command("thm12-tower", "divergence tower with certified stages", ["ap", "sieve"])
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--sum-target", type=float, default=1.0)
 
-    p = sub.add_parser("prop71-tower", parents=[common],
-                       help="split-prime tower with discriminant-norm growth")
+    p = command("prop71-tower", "split-prime tower with discriminant-norm growth",
+                ["ap", "sieve"])
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--sum-target", type=float, default=1.0)
 
-    p = sub.add_parser("sfrak-sum", parents=[common],
-                       help="partial sum of the splitting series over a prime range")
+    p = command("sfrak-sum", "partial sum of the splitting series over a prime range",
+                ["sieve"])
     p.add_argument("--basis", type=_prime_list, default=[])
     p.add_argument("--prime-floor", type=int, default=2)
     p.add_argument("--prime-ceiling", type=int, required=True)
     p.add_argument("--odd-only", action="store_true")
     p.add_argument("--terms", action="store_true")
 
-    p = sub.add_parser("adjoin-i-bound", parents=[common],
-                       help="convergence bound for a tower trace with i adjoined")
+    p = command("adjoin-i-bound", "convergence bound for a tower trace with i adjoined",
+                ["sieve"])
     p.add_argument("--in", dest="trace_path", required=True, metavar="PATH")
     p.add_argument("--prime-ceiling", type=int, default=10**6)
 
-    p = sub.add_parser("northcott-bounds", parents=[common],
-                       help="two-sided bounds for a finite prime set")
+    p = command("northcott-bounds", "two-sided bounds for a finite prime set")
     p.add_argument("--primes", type=_prime_list, required=True)
 
-    p = sub.add_parser("northcott-select", parents=[common],
-                       help="prime window hitting a target bound interval")
+    p = command("northcott-select", "prime window hitting a target bound interval", ["sieve"])
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
 
-    p = sub.add_parser("density-check", parents=[common],
-                       help="totally split prime counts against the expected density")
+    p = command("density-check", "totally split prime counts against the expected density",
+                ["sieve"], formats=("json", "csv", "human"))
     p.add_argument("--basis", type=_prime_list, default=[])
     p.add_argument("--prime-ceiling", type=int, required=True)
     p.add_argument("--residue", type=int, choices=(1, 3), default=None)
     p.add_argument("--per-decade", type=int, default=4)
 
-    p = sub.add_parser("inert-companion", parents=[common],
-                       help="smallest companion prime with prescribed reciprocity behaviour")
+    p = command("inert-companion",
+                "smallest companion prime with prescribed reciprocity behaviour", ["ap"])
     p.add_argument("--p", dest="p", type=int, required=True)
     p.add_argument("--mod-power", type=int, required=True, metavar="M",
                    help="companion must be 1 mod 2^M")
     p.add_argument("--want", choices=("inert", "split"), required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="re-derive every certificate in a trace file")
+    p = command("verify", "re-derive every certificate in a trace file", ["sieve"])
     p.add_argument("trace_path", metavar="PATH")
 
     return parser
@@ -172,13 +185,20 @@ def _human(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, doc: dict, csv_text: Optional[str] = None) -> None:
+def _output_format(args) -> str:
+    """--format, else SPLITLAB_FORMAT, else json; it must be a format the command offers."""
     fmt = args.format or _env("FORMAT") or "json"
-    if fmt == "json":
+    if fmt not in args.formats:
+        raise ValueError(
+            f"environment {_ENV_PREFIX}FORMAT={fmt!r} is not one of {', '.join(args.formats)}"
+        )
+    return fmt
+
+
+def _emit(args, doc: dict, csv_text: Optional[str] = None) -> None:
+    if args.format == "json":
         text = traceio.dumps_canonical(doc)
-    elif fmt == "csv":
-        if csv_text is None:
-            raise ValueError("csv output is only available for density series")
+    elif args.format == "csv":
         text = csv_text
     else:
         text = _human(doc)
@@ -195,19 +215,7 @@ def _emit(args, doc: dict, csv_text: Optional[str] = None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _budgets(args) -> tuple[int, int, int, int]:
-    ap = _resolve_int(args.budget_ap, "BUDGET_AP", DEFAULT_AP_BUDGET)
-    sieve = _resolve_int(args.budget_sieve, "BUDGET_SIEVE", DEFAULT_SIEVE_CEILING)
-    bits = _resolve_int(None, "MODULUS_BITS", constructions.DEFAULT_MODULUS_BIT_BUDGET)
-    cap = _resolve_int(None, "STAGE_CAP", constructions.DEFAULT_STAGE_CAP)
-    for name, value in (("ap", ap), ("sieve", sieve), ("modulus bits", bits), ("stage cap", cap)):
-        if value <= 0:
-            raise ValueError(f"budget {name} must be positive, got {value}")
-    return ap, sieve, bits, cap
-
-
 def _cmd_construct_quadratic(args) -> None:
-    ap, _, bits, _ = _budgets(args)
     spec = SplittingSpec(
         split=frozenset(args.split),
         inert=frozenset(args.inert),
@@ -220,38 +228,38 @@ def _cmd_construct_quadratic(args) -> None:
         ),
     )
     m = constructions.construct_prescribed_quadratic(
-        spec, ap_budget=ap, modulus_bit_budget=bits
+        spec,
+        ap_budget=_budget("ap", args.budget_ap),
+        modulus_bit_budget=_budget("modulus bits"),
     )
     _emit(args, traceio.quadratic_doc(spec, m))
 
 
 def _cmd_tower(args, builder) -> None:
-    ap, sieve, bits, cap = _budgets(args)
     trace = builder(
         args.stages,
         args.sum_target,
-        ap_budget=ap,
-        sieve_ceiling=sieve,
-        modulus_bit_budget=bits,
-        stage_cap=cap,
+        ap_budget=_budget("ap", args.budget_ap),
+        sieve_ceiling=_budget("sieve", args.budget_sieve),
+        modulus_bit_budget=_budget("modulus bits"),
+        stage_cap=_budget("stage cap"),
     )
     _emit(args, traceio.trace_to_doc(trace))
 
 
 def _cmd_sfrak_sum(args) -> None:
-    _, sieve, _, _ = _budgets(args)
     report = series.partial_sum(
         MultiquadField.from_generators(args.basis),
         PrimeRange(args.prime_floor, args.prime_ceiling),
         include_two=not args.odd_only,
         with_terms=args.terms,
-        sieve_ceiling=sieve,
+        sieve_ceiling=_budget("sieve", args.budget_sieve),
     )
     _emit(args, _series_doc(report, "sfrak-sum"))
 
 
 def _cmd_adjoin_i_bound(args) -> None:
-    _, sieve, _, _ = _budgets(args)
+    sieve = _budget("sieve", args.budget_sieve)
     with open(args.trace_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     trace = traceio.trace_from_doc(doc, sieve_ceiling=sieve)
@@ -273,9 +281,8 @@ def _cmd_northcott_bounds(args) -> None:
 
 
 def _cmd_northcott_select(args) -> None:
-    _, sieve, _, _ = _budgets(args)
     window, bounds = northcott.select_prime_window(
-        args.r, args.epsilon, sieve_ceiling=sieve
+        args.r, args.epsilon, sieve_ceiling=_budget("sieve", args.budget_sieve)
     )
     _emit(args, {
         "command": "northcott-select",
@@ -289,14 +296,13 @@ def _cmd_northcott_select(args) -> None:
 
 
 def _cmd_density_check(args) -> None:
-    _, sieve, _, _ = _budgets(args)
     field = MultiquadField.from_generators(args.basis)
     reports = density.density_checkpoints(
         field,
         args.prime_ceiling,
         args.residue,
         per_decade=args.per_decade,
-        sieve_ceiling=sieve,
+        sieve_ceiling=_budget("sieve", args.budget_sieve),
     )
     final = reports[-1]
     doc = {
@@ -317,9 +323,8 @@ def _cmd_density_check(args) -> None:
 
 
 def _cmd_inert_companion(args) -> None:
-    ap, _, _, _ = _budgets(args)
     q = constructions.search_inert_companion(
-        args.p, args.mod_power, args.want, budget=ap
+        args.p, args.mod_power, args.want, budget=_budget("ap", args.budget_ap)
     )
     _emit(args, {
         "command": "inert-companion",
@@ -332,10 +337,9 @@ def _cmd_inert_companion(args) -> None:
 
 
 def _cmd_verify(args) -> None:
-    _, sieve, _, _ = _budgets(args)
     with open(args.trace_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    issues = traceio.verify_trace_doc(doc, sieve_ceiling=sieve)
+    issues = traceio.verify_trace_doc(doc, sieve_ceiling=_budget("sieve", args.budget_sieve))
     _emit(args, {
         "command": "verify",
         "version": 1,
@@ -349,6 +353,9 @@ def _cmd_verify(args) -> None:
 
 _DISPATCH = {
     "construct-quadratic": _cmd_construct_quadratic,
+    # the builders are looked up per call, so a wrapped module attribute is what runs
+    "thm12-tower": lambda args: _cmd_tower(args, constructions.build_divergence_tower),
+    "prop71-tower": lambda args: _cmd_tower(args, constructions.build_split_prime_tower),
     "sfrak-sum": _cmd_sfrak_sum,
     "adjoin-i-bound": _cmd_adjoin_i_bound,
     "northcott-bounds": _cmd_northcott_bounds,
@@ -365,15 +372,10 @@ def _diagnose(kind: str, message: str) -> None:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "thm12-tower":
-            _cmd_tower(args, constructions.build_divergence_tower)
-        elif args.command == "prop71-tower":
-            _cmd_tower(args, constructions.build_split_prime_tower)
-        else:
-            _DISPATCH[args.command](args)
+        args = build_parser().parse_args(argv)
+        args.format = _output_format(args)
+        _DISPATCH[args.command](args)
         return 0
     except (_UsageError, ValueError) as exc:
         _diagnose("invalid-argument", str(exc))

@@ -280,16 +280,13 @@ def _smallest_split_aux_prime(
     field: MultiquadField, *, sieve_ceiling: int
 ) -> int:
     """Smallest prime q = 1 (mod 4) that splits totally in the field."""
-    for q in iter_primes(5, sieve_ceiling, ceiling=sieve_ceiling):
-        if q % 4 == 1 and totally_split(field, q):
-            return q
+    for p, e, f in scan(field, 5, sieve_ceiling, sieve_ceiling=sieve_ceiling):
+        hits = np.flatnonzero((p % 4 == 1) & (e == 1) & (f == 1))
+        if hits.size:
+            return int(p[hits[0]])
     raise ResourceBudgetError(
         f"no totally split auxiliary prime below the sieve ceiling {sieve_ceiling}"
     )
-
-
-def _check(name: str, lhs: float, rhs: float, holds: bool) -> CertifiedInequality:
-    return CertifiedInequality(name=name, lhs=lhs, rhs=rhs, holds=holds)
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +377,18 @@ def build_divergence_tower(
             and totally_split(current, aux)
         )
         certs = (
-            _check("(a) linearly disjoint from the previous compositum",
-                   float(grown.degree), float(2 * current.degree), disjoint and grown.degree == 2 * current.degree),
-            _check("(b) prescribed splitting verified at every prime <= n",
-                   want_total, want_total, True),
-            _check("(c) block sum reaches the target",
-                   block_sum, sum_target_per_block, block_sum >= sum_target_per_block),
-            _check("auxiliary prime inert above, totally split below",
-                   1.0 if aux_witness else 0.0, 1.0, aux_witness),
-            _check("compositum stays totally real",
-                   1.0 if is_totally_real(grown) else 0.0, 1.0, is_totally_real(grown)),
+            CertifiedInequality("(a) linearly disjoint from the previous compositum",
+                                float(grown.degree), float(2 * current.degree),
+                                disjoint and grown.degree == 2 * current.degree),
+            CertifiedInequality("(b) prescribed splitting verified at every prime <= n",
+                                want_total, want_total, True),
+            CertifiedInequality("(c) block sum reaches the target",
+                                block_sum, sum_target_per_block, block_sum >= sum_target_per_block),
+            CertifiedInequality("auxiliary prime inert above, totally split below",
+                                1.0 if aux_witness else 0.0, 1.0, aux_witness),
+            CertifiedInequality("compositum stays totally real",
+                                1.0 if is_totally_real(grown) else 0.0, 1.0,
+                                is_totally_real(grown)),
         )
         stages.append(
             StageRecord(
@@ -407,7 +406,7 @@ def build_divergence_tower(
 
     total = math.fsum(s.block_sum for s in stages)
     global_certs = (
-        _check(
+        CertifiedInequality(
             "total certified block sum",
             total,
             num_stages * sum_target_per_block,
@@ -532,16 +531,18 @@ def build_split_prime_tower(
             log_quantity=math.log(p_i) / 4.0,
         )
         certs = (
-            _check("block sum reaches the target",
-                   block_sum, sum_target_per_block, block_sum >= sum_target_per_block),
-            _check("every prime up to n splits totally in the new field",
-                   float(split_ok), float(len(small)), split_ok == len(small)),
-            _check("stage prime is 1 mod 4",
-                   float(p_i % 4), 1.0, p_i % 4 == 1),
-            _check("stage prime strictly exceeds n and the previous prime",
-                   1.0 if p_i > max(n_i, p_prev) else 0.0, 1.0, p_i > max(n_i, p_prev)),
-            _check("degree doubles",
-                   float(grown.degree), float(2 * current.degree), grown.degree == 2 * current.degree),
+            CertifiedInequality("block sum reaches the target",
+                                block_sum, sum_target_per_block, block_sum >= sum_target_per_block),
+            CertifiedInequality("every prime up to n splits totally in the new field",
+                                float(split_ok), float(len(small)), split_ok == len(small)),
+            CertifiedInequality("stage prime is 1 mod 4",
+                                float(p_i % 4), 1.0, p_i % 4 == 1),
+            CertifiedInequality("stage prime strictly exceeds n and the previous prime",
+                                1.0 if p_i > max(n_i, p_prev) else 0.0, 1.0,
+                                p_i > max(n_i, p_prev)),
+            CertifiedInequality("degree doubles",
+                                float(grown.degree), float(2 * current.degree),
+                                grown.degree == 2 * current.degree),
         )
         stages.append(
             StageRecord(
@@ -561,8 +562,8 @@ def build_split_prime_tower(
     logs = [s.widmer.log_quantity for s in stages]
     increasing = all(a < b for a, b in zip(logs, logs[1:]))
     global_certs = (
-        _check("discriminant-norm quantities strictly increase",
-               1.0 if increasing else 0.0, 1.0, increasing),
+        CertifiedInequality("discriminant-norm quantities strictly increase",
+                            1.0 if increasing else 0.0, 1.0, increasing),
     )
     params = {
         "stages": num_stages,

@@ -120,14 +120,6 @@ class MultiquadField:
                 yield _atoms_to_squarefree(atoms)
 
 
-def adjoin(field: MultiquadField, m: Union[int, SquarefreeInt]) -> MultiquadField:
-    return field.adjoin(m)
-
-
-def contains_sqrt(field: MultiquadField, m: Union[int, SquarefreeInt]) -> bool:
-    return field.contains_sqrt(m)
-
-
 def compositum(left: MultiquadField, right: MultiquadField) -> MultiquadField:
     rows = left._vectors() + right._vectors()
     return MultiquadField(tuple(_atoms_to_squarefree(v) for v in _reduce_rows(rows)))

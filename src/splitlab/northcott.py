@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .primes import DEFAULT_SIEVE_CEILING, is_prime, iter_primes
+import numpy as np
+
+from .primes import DEFAULT_SIEVE_CEILING, is_prime, prime_segments
 from .series import first_reaching
 
 _TAIL_PARTIAL_CEILING = 10**6
@@ -62,44 +64,38 @@ def select_prime_window(
         raise ValueError(f"r must be positive, got {r}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    primes = list(iter_primes(2, tail_ceiling, ceiling=sieve_ceiling))
+    primes = np.concatenate(
+        [np.empty(0, dtype=np.int64), *prime_segments(2, tail_ceiling, ceiling=sieve_ceiling)]
+    )
+    # math.log, not np.log, so every term rounds as the scalar formula does
+    logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=len(primes))
+    x = primes.astype(np.float64)
 
     # The upper/lower difference term is 2 log(p)/(p^2 - 1); it is summed
     # exactly up to the ceiling, and the remainder is covered by twice the
     # integral of log(x)/x^2, a safe over-estimate that can only push the
-    # window start higher.
-    suffix = [0.0] * (len(primes) + 1)
-    for i in range(len(primes) - 1, -1, -1):
-        p = primes[i]
-        suffix[i] = suffix[i + 1] + 2.0 * math.log(p) / (p * p - 1.0)
+    # window start higher.  The suffix sums accumulate from the largest prime
+    # down, one float addition at a time (np.cumsum is sequential).
+    suffix = np.cumsum((2.0 * logs / (x * x - 1.0))[::-1])[::-1]
     integral_tail = 2.0 * (math.log(tail_ceiling) + 1.0) / tail_ceiling
-    l = next(
-        (i for i in range(len(primes)) if suffix[i] + integral_tail <= epsilon), None
-    )
-    if l is None:
+    resolved = np.flatnonzero(suffix + integral_tail <= epsilon)
+    if not resolved.size:
         raise ValueError(
             f"epsilon={epsilon} is below the resolvable tail at ceiling {tail_ceiling}"
         )
-    j = next(
-        (i for i, p in enumerate(primes) if math.log(p) / (p + 1) < epsilon), None
-    )
-    if j is None:
+    small = np.flatnonzero(logs / (x + 1.0) < epsilon)
+    if not small.size:
         raise ValueError(f"no prime below {tail_ceiling} has term under epsilon={epsilon}")
-    c = max(j, l)
+    c = int(max(small[0], resolved[0]))
 
     # The window is the longest run from c whose upper sum stays within 2r,
-    # i.e. one prime short of the first prefix whose sum exceeds 2r; upper
-    # terms are computed in doubling chunks until that prefix appears.
-    over = math.nextafter(2.0 * r, math.inf)
-    terms: list[float] = []
-    while (k := first_reaching(terms, over)) is None:
-        if c + len(terms) >= len(primes):
-            raise ValueError(
-                f"window exceeded the prime ceiling {tail_ceiling}; raise it or shrink r"
-            )
-        chunk = primes[c + len(terms) : c + 2 * len(terms) + 64]
-        terms += [math.log(p) / (p - 1) for p in chunk]
-    window = primes[c : c + k - 1]
+    # i.e. one prime short of the first prefix whose sum exceeds 2r.
+    k = first_reaching((logs[c:] / (x[c:] - 1.0)).tolist(), math.nextafter(2.0 * r, math.inf))
+    if k is None:
+        raise ValueError(
+            f"window exceeded the prime ceiling {tail_ceiling}; raise it or shrink r"
+        )
+    window = primes[c : c + k - 1].tolist()
     if not window:
         raise ValueError(
             f"infeasible: log(p)/(p-1) at the window start p={primes[c]} already "

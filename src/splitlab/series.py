@@ -150,8 +150,6 @@ def tower_sum(
     certificates: Sequence[StabilizationCertificate],
     *,
     residue_filter: Optional[tuple[int, int]] = None,
-    include_two: bool = True,
-    with_terms: bool = False,
     sieve_ceiling: int = DEFAULT_SIEVE_CEILING,
 ) -> SeriesReport:
     """Partial sum for an infinite tower, each term taken at its certified stage.
@@ -172,8 +170,6 @@ def tower_sum(
     uncertified: list[int] = []
     selected: list[tuple[int, int]] = []
     for p in iter_primes(rng.lo, rng.hi, ceiling=sieve_ceiling):
-        if p == 2 and not include_two:
-            continue
         if residue_filter is not None and p % residue_filter[1] != residue_filter[0]:
             continue
         stage = cert_by_prime.get(p)
@@ -187,7 +183,7 @@ def tower_sum(
             + ", ".join(map(str, uncertified[:20]))
             + ("..." if len(uncertified) > 20 else "")
         )
-    terms = []
+    local: list[tuple[int, int, int]] = []
     for p, stage in selected:
         data = local_data(stages[stage], p)
         # the certificate claims later provided stages leave (e, f) unchanged
@@ -198,11 +194,11 @@ def tower_sum(
                     f"stabilization certificate for p={p} at stage {stage} is "
                     f"contradicted at stage {later}"
                 )
-        terms.append((p, data.e, data.f, math.log(p) / (data.e * (float(p) ** data.f + 1.0))))
+        local.append((p, data.e, data.f))
+    p, e, f = np.array(local, dtype=np.int64).reshape(-1, 3).T
     return SeriesReport(
         field_degree=stages[-1].degree,
         prime_lo=rng.lo,
         prime_hi=rng.hi,
-        partial_sum=math.fsum(t[3] for t in terms),
-        per_prime_terms=tuple(terms) if with_terms else None,
+        partial_sum=math.fsum(segment_terms(p, e, f).tolist()),
     )

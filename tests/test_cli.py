@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -189,6 +190,102 @@ class TestOutputsAndFormats:
         code, _, err = capture(capsys, ["sfrak-sum", "--basis", "2", "--prime-ceiling", "5000"])
         assert code == 1
         assert "SPLITLAB_BUDGET_SIEVE" in err
+
+
+# The budget flags and environment variables each subcommand reads, and a
+# cheap invocation of it; trace commands get the path of a one-stage tower.
+SETTINGS = {
+    "construct-quadratic": (["ap"], ["BUDGET_AP", "MODULUS_BITS"],
+                            ["--split", "5", "--inert", "3"]),
+    "thm12-tower": (["ap", "sieve"], ["BUDGET_AP", "BUDGET_SIEVE", "MODULUS_BITS", "STAGE_CAP"],
+                    ["--stages", "1"]),
+    "prop71-tower": (["ap", "sieve"], ["BUDGET_AP", "BUDGET_SIEVE", "MODULUS_BITS", "STAGE_CAP"],
+                     ["--stages", "1"]),
+    "sfrak-sum": (["sieve"], ["BUDGET_SIEVE"], ["--basis", "2", "--prime-ceiling", "1000"]),
+    "adjoin-i-bound": (["sieve"], ["BUDGET_SIEVE"], ["--prime-ceiling", "1000", "--in"]),
+    "northcott-bounds": ([], [], ["--primes", "2,3"]),
+    "northcott-select": (["sieve"], ["BUDGET_SIEVE"], ["--r", "1", "--epsilon", "0.5"]),
+    "density-check": (["sieve"], ["BUDGET_SIEVE"], ["--basis=-1", "--prime-ceiling", "1000"]),
+    "inert-companion": (["ap"], ["BUDGET_AP"], ["--p", "3", "--mod-power", "2", "--want", "inert"]),
+    "verify": (["sieve"], ["BUDGET_SIEVE"], []),
+}
+BUDGET_VARIABLES = ["BUDGET_AP", "BUDGET_SIEVE", "MODULUS_BITS", "STAGE_CAP"]
+
+
+@pytest.fixture(scope="module")
+def one_stage_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "thm12.json"
+    assert run(["thm12-tower", "--stages", "1", "--out", str(path)]) == 0
+    return str(path)
+
+
+def invocation(command, trace):
+    argv = [command] + SETTINGS[command][2]
+    return argv + [trace] if command in ("adjoin-i-bound", "verify") else argv
+
+
+class TestSettings:
+    def test_each_subcommand_offers_only_what_it_reads(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(SETTINGS)
+        for command, parser in sub.choices.items():
+            flags = {o for a in parser._actions for o in a.option_strings}
+            budgets = sorted(f[len("--budget-"):] for f in flags if f.startswith("--budget-"))
+            assert budgets == sorted(SETTINGS[command][0]), command
+            (fmt,) = [a for a in parser._actions if "--format" in a.option_strings]
+            csv = ("csv",) if command == "density-check" else ()
+            assert set(fmt.choices) == {"json", "human", *csv}, command
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_unread_budget_variables_are_ignored(self, capsys, monkeypatch, command,
+                                                 one_stage_trace):
+        argv = invocation(command, one_stage_trace)
+        expected = capture(capsys, argv)
+        assert expected[0] == 0
+        for name in BUDGET_VARIABLES:
+            if name not in SETTINGS[command][1]:
+                monkeypatch.setenv("SPLITLAB_" + name, "soon")
+        assert capture(capsys, argv) == expected
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_read_budget_variables_are_checked(self, capsys, monkeypatch, command,
+                                               one_stage_trace):
+        for name in SETTINGS[command][1]:
+            with monkeypatch.context() as env:
+                env.setenv("SPLITLAB_" + name, "soon")
+                code, out, err = capture(capsys, invocation(command, one_stage_trace))
+            assert code == 1 and out == "", name
+            diag = json.loads(err)
+            assert diag["error"]["kind"] == "invalid-argument"
+            assert "SPLITLAB_" + name in diag["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("inert-companion", ["--budget-sieve", "5"]),
+         ("verify", ["--budget-ap", "5"]),
+         ("northcott-bounds", ["--budget-ap", "0"])],
+    )
+    def test_unread_budget_flags_are_rejected(self, capsys, command, flag, one_stage_trace):
+        code, out, err = capture(capsys, invocation(command, one_stage_trace) + flag)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --budget-" in err
+
+    @pytest.mark.parametrize("value", ["bogus", "csv", "JSON"])
+    def test_unoffered_env_format_is_invalid_argument(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SPLITLAB_FORMAT", value)
+        code, out, err = capture(capsys, ["northcott-bounds", "--primes", "2"])
+        assert code == 1 and out == ""
+        diag = json.loads(err)
+        assert diag["error"]["kind"] == "invalid-argument"
+        assert f"SPLITLAB_FORMAT={value!r}" in diag["error"]["message"]
+
+    def test_env_csv_on_density_check(self, capsys, monkeypatch):
+        argv = ["density-check", "--basis=-1", "--prime-ceiling", "2000"]
+        flagged = capture(capsys, argv + ["--format", "csv"])
+        monkeypatch.setenv("SPLITLAB_FORMAT", "csv")
+        assert capture(capsys, argv) == flagged
+        assert flagged[1].startswith("x,count,expected,ratio\n")
 
 
 class TestPipelines:

@@ -16,6 +16,7 @@ from splitlab.constructions import (
     build_split_prime_tower,
     certify_adjoin_i_convergence,
     _scan_block,
+    _smallest_split_aux_prime,
     construct_prescribed_quadratic,
     search_inert_companion,
 )
@@ -219,6 +220,33 @@ def test_scan_block_equals_scalar_series_terms():
     terms = [series_term(field, p) for p in primes]
     assert block == primes and block[-1] == last_p and block[-1] > 1 << 14
     assert block_sum == math.fsum(terms) >= 0.3 > math.fsum(terms[:-1])
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [],
+        [-1, 2, 3, 5, 7, 11, 13],  # degree 128
+        [3, 7, 460_322_471_827],
+        [-5 * 460_322_471_827, 2, 13],
+    ],
+)
+def test_smallest_split_aux_prime_equals_scalar_search(generators):
+    field = MultiquadField.from_generators(generators)
+    want = next(q for q in iter_primes(5, 10**7) if q % 4 == 1 and totally_split(field, q))
+    assert _smallest_split_aux_prime(field, sieve_ceiling=10**7) == want
+
+
+def test_smallest_split_aux_prime_on_tower_stages(thm12_two_stage):
+    for field in thm12_two_stage.stage_fields():
+        want = next(q for q in iter_primes(5, 10**7) if q % 4 == 1 and totally_split(field, q))
+        assert _smallest_split_aux_prime(field, sieve_ceiling=10**7) == want
+
+
+def test_smallest_split_aux_prime_budget():
+    field = MultiquadField.from_generators([-1, 2, 3, 5, 7, 11, 13])
+    with pytest.raises(ResourceBudgetError, match="auxiliary prime"):
+        _smallest_split_aux_prime(field, sieve_ceiling=100)
 
 
 class TestSplitPrimeTower:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from splitlab.multiquadratic import (
     MultiquadField,
     compositum,
-    contains_sqrt,
     is_totally_real,
     linearly_disjoint,
     local_data,
@@ -86,12 +85,12 @@ class TestMembership:
         [([2, 3], 6, True), ([2, 3], 5, False), ([-1, 2], -2, True)],
     )
     def test_examples(self, gens, m, expected):
-        assert contains_sqrt(MultiquadField.from_generators(gens), m) is expected
+        assert MultiquadField.from_generators(gens).contains_sqrt(m) is expected
 
     def test_every_square_class_is_contained(self):
         field = MultiquadField.from_generators([-1, 2, 7])
         for c in field.square_classes():
-            assert contains_sqrt(field, c)
+            assert field.contains_sqrt(c)
 
     def test_disjointness_examples(self):
         assert linearly_disjoint(

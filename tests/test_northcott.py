@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -101,3 +102,45 @@ class TestWindowSelection:
 
         for start in (5, 29, 101):
             assert estimate(start, 10**6) <= estimate(start, 10**4)
+
+
+# (r, epsilon) -> (first prime, last prime, length) of the window at the
+# default tail ceiling, as the scalar implementation selected them.
+PINNED_WINDOWS = {
+    (0.5, 0.05): (89, 241, 30),
+    (0.5, 0.25): (11, 23, 5),
+    (0.5, 1.0): (3, 5, 2),
+    (1.0, 0.05): (89, 683, 101),
+    (1.0, 0.25): (11, 79, 18),
+    (1.0, 1.0): (3, 17, 6),
+    (2.0, 0.05): (89, 5323, 682),
+    (2.0, 0.25): (11, 653, 115),
+    (2.0, 1.0): (3, 173, 39),
+    (3.0, 0.05): (89, 39659, 4146),
+    (3.0, 0.25): (11, 5051, 672),
+    (3.0, 1.0): (3, 1399, 221),
+}
+
+
+@pytest.mark.parametrize("r, epsilon", sorted(PINNED_WINDOWS))
+def test_pinned_windows(r, epsilon):
+    window, bounds = select_prime_window(r, epsilon)
+    assert (window[0], window[-1], len(window)) == PINNED_WINDOWS[r, epsilon]
+    assert window == list(iter_primes(window[0], window[-1]))
+    assert bounds == northcott_bounds(window)
+
+
+@pytest.mark.parametrize(
+    "r, epsilon, ceiling, message",
+    [
+        (1.0, 0.3, 7, "epsilon=0.3 is below the resolvable tail at ceiling 7"),
+        (1.0, 5.0, 1, "epsilon=5.0 is below the resolvable tail at ceiling 1"),
+        (1.0, 5.0, 5, "window exceeded the prime ceiling 5; raise it or shrink r"),
+        (2.0, 0.01, 10**4, "window exceeded the prime ceiling 10000; raise it or shrink r"),
+        (0.05, 0.1, 10**4, "infeasible: log(p)/(p-1) at the window start p=37 already "
+                           "exceeds 2r=0.1; enlarge r or epsilon"),
+    ],
+)
+def test_pinned_infeasible_outcomes(r, epsilon, ceiling, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        select_prime_window(r, epsilon, tail_ceiling=ceiling)
