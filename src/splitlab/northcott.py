@@ -89,8 +89,14 @@ def select_prime_window(
     c = int(max(small[0], resolved[0]))
 
     # The window is the longest run from c whose upper sum stays within 2r,
-    # i.e. one prime short of the first prefix whose sum exceeds 2r.
-    k = first_reaching((logs[c:] / (x[c:] - 1.0)).tolist(), math.nextafter(2.0 * r, math.inf))
+    # i.e. one prime short of the first prefix whose sum exceeds 2r.  numpy's
+    # running sum places that prefix to within rounding; first_reaching decides
+    # it on the terms up to just past there, and on all terms only if those
+    # fall short.  A list of every term (~78k, 2.5 MB) would set peak memory.
+    upper = logs[c:] / (x[c:] - 1.0)
+    over = math.nextafter(2.0 * r, math.inf)
+    cut = int(np.searchsorted(np.cumsum(upper), over)) + 2
+    k = first_reaching(upper[:cut].tolist(), over) or first_reaching(upper.tolist(), over)
     if k is None:
         raise ValueError(
             f"window exceeded the prime ceiling {tail_ceiling}; raise it or shrink r"
