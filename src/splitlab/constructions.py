@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -137,11 +137,16 @@ def construct_prescribed_quadratic(
         )
     t = find_prime_in_ap(residue, modulus, 1, budget=ap_budget)
     result = SquarefreeInt.from_prime_factors(sigma, ram_primes + [t])
-    _verify_prescription(result, spec)
+    problems = prescription_problems(result, spec)
+    if problems:
+        raise VerificationError(
+            f"constructed m={result.value} fails its own prescription: " + "; ".join(problems)
+        )
     return result
 
 
-def _verify_prescription(m: SquarefreeInt, spec: SplittingSpec) -> None:
+def prescription_problems(m: SquarefreeInt, spec: SplittingSpec) -> list[str]:
+    """Every way Q(sqrt(m)) misses the prescription, one message each."""
     problems = []
     wanted = (
         (spec.split, SplittingType.SPLIT),
@@ -161,10 +166,7 @@ def _verify_prescription(m: SquarefreeInt, spec: SplittingSpec) -> None:
         problems.append("wanted a totally real field, got negative m")
     if spec.signature == SIGNATURE_COMPLEX and m.value > 0:
         problems.append("wanted a totally complex field, got positive m")
-    if problems:
-        raise VerificationError(
-            f"constructed m={m.value} fails its own prescription: " + "; ".join(problems)
-        )
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -247,33 +249,66 @@ class ConstructionTrace:
 # ---------------------------------------------------------------------------
 
 
-def _scan_block(
-    field: MultiquadField,
-    start: int,
-    target: float,
-    *,
-    residue_filter: Optional[tuple[int, int]],
-    lo_exclusive: bool,
-    sieve_ceiling: int,
-    stage_label: str,
-) -> tuple[list[int], float, int]:
-    """Collect series terms over primes (filtered) from `start` until their
-    math.fsum reaches the target; returns (block primes, block sum, last prime)."""
-    block: list[int] = []
-    terms: list[float] = []
-    lo = start + 1 if lo_exclusive else start
-    for p, e, f in scan(field, lo, sieve_ceiling, sieve_ceiling=sieve_ceiling):
+def valid_sum_target(sum_target: float) -> bool:
+    """The towers' block sum target rule: finite and positive."""
+    return math.isfinite(sum_target) and sum_target > 0
+
+
+def _tower_params(num_stages: int, sum_target: float, *, stage_cap: int, **budgets) -> dict:
+    """Check a tower builder's arguments; returns them as the trace's params."""
+    if num_stages < 1:
+        raise ValueError(f"num_stages must be >= 1, got {num_stages}")
+    if num_stages > stage_cap:
+        raise ValueError(f"num_stages {num_stages} exceeds the stage cap {stage_cap}")
+    if not valid_sum_target(sum_target):
+        raise ValueError("sum_target_per_block must be finite and positive")
+    return {"stages": num_stages, "sum_target": sum_target, **budgets}
+
+
+def block_segments(
+    field: MultiquadField, lo: int, hi: int, residue_filter: Optional[tuple[int, int]],
+    *, sieve_ceiling: int,
+) -> Iterator[tuple[list[int], list[float]]]:
+    """Per sieve segment, the primes p in [lo, hi] (only p = r mod q when
+    residue_filter is (r, q)) and their series terms on the field."""
+    for p, e, f in scan(field, lo, hi, sieve_ceiling=sieve_ceiling):
         if residue_filter is not None:
             keep = p % residue_filter[1] == residue_filter[0]
             p, e, f = p[keep], e[keep], f[keep]
-        block += p.tolist()
-        terms += segment_terms(p, e, f).tolist()
+        yield p.tolist(), segment_terms(p, e, f).tolist()
+
+
+def _scan_block(
+    field: MultiquadField, lo: int, target: float, residue_filter: Optional[tuple[int, int]],
+    *, sieve_ceiling: int, stage: int,
+) -> tuple[list[int], float, int]:
+    """Collect the block_segments terms from `lo` until their math.fsum
+    reaches the target; returns (block primes, block sum, last prime)."""
+    block: list[int] = []
+    terms: list[float] = []
+    for primes, seg_terms in block_segments(
+        field, lo, sieve_ceiling, residue_filter, sieve_ceiling=sieve_ceiling
+    ):
+        block += primes
+        terms += seg_terms
         k = first_reaching(terms, target)
         if k is not None:
             return block[:k], math.fsum(terms[:k]), block[k - 1]
     raise ResourceBudgetError(
-        f"{stage_label}: block scan exhausted the sieve ceiling {sieve_ceiling}"
+        f"stage {stage}: block scan exhausted the sieve ceiling {sieve_ceiling}"
     )
+
+
+def divergence_prescription(n: int, *, sieve_ceiling: int) -> tuple[list[int], list[int]]:
+    """(split, inert): the odd primes up to n that a divergence stage with
+    threshold n splits (p = 3 mod 4) and keeps inert (p = 1 mod 4)."""
+    primes = list(iter_primes(3, n, ceiling=sieve_ceiling))
+    return [p for p in primes if p % 4 == 3], [p for p in primes if p % 4 == 1]
+
+
+def split_prime_spec(small: list[int]) -> SplittingSpec:
+    """A split-prime stage's prescription: every prime in `small` splits, 2 included."""
+    return SplittingSpec(split=frozenset(small) - {2}, two_behavior=TWO_SPLIT)
 
 
 def _smallest_split_aux_prime(
@@ -315,55 +350,37 @@ def build_divergence_tower(
     contributing primes), so the prescription modulus explodes quickly; the
     modulus bit budget turns that into a clean resource error.
     """
-    if num_stages < 1:
-        raise ValueError(f"num_stages must be >= 1, got {num_stages}")
-    if num_stages > stage_cap:
-        raise ValueError(f"num_stages {num_stages} exceeds the stage cap {stage_cap}")
-    if not (math.isfinite(sum_target_per_block) and sum_target_per_block > 0):
-        raise ValueError("sum_target_per_block must be finite and positive")
+    params = _tower_params(
+        num_stages, sum_target_per_block, stage_cap=stage_cap, ap_budget=ap_budget,
+        sieve_ceiling=sieve_ceiling, modulus_bit_budget=modulus_bit_budget,
+    )
 
     current = MultiquadField.rationals()
     n_prev = 1
     stages: list[StageRecord] = []
     for k in range(1, num_stages + 1):
         block, block_sum, last_p = _scan_block(
-            current,
-            n_prev,
-            sum_target_per_block,
-            residue_filter=(3, 4),
-            lo_exclusive=False,
-            sieve_ceiling=sieve_ceiling,
-            stage_label=f"stage {k}",
+            current, n_prev, sum_target_per_block, (3, 4), sieve_ceiling=sieve_ceiling, stage=k
         )
         n_k = last_p + 1
         aux = _smallest_split_aux_prime(current, sieve_ceiling=sieve_ceiling)
-        split_set = set()
-        inert_set = {aux}
-        bits = 3.0  # slack for the auxiliary prime and a mod-8 factor
-        for p in iter_primes(3, n_k, ceiling=sieve_ceiling):
-            bits += math.log2(p)
-            if p % 4 == 3:
-                split_set.add(p)
-            elif p % 4 == 1:
-                inert_set.add(p)
+        split, inert = divergence_prescription(n_k, sieve_ceiling=sieve_ceiling)
+        # slack for the auxiliary prime and a mod-8 factor
+        bits = 3.0 + math.fsum(map(math.log2, split + inert))
         if bits > modulus_bit_budget:
             raise ResourceBudgetError(
                 f"stage {k}: prescribing every prime below n={n_k} needs a CRT "
                 f"modulus of about {int(bits)} bits, over the budget of "
                 f"{modulus_bit_budget}"
             )
-        spec = SplittingSpec(
-            split=frozenset(split_set),
-            inert=frozenset(inert_set),
-            signature=SIGNATURE_REAL,
-        )
+        spec = SplittingSpec(split=split, inert=inert + [aux], signature=SIGNATURE_REAL)
         try:
             m_new = construct_prescribed_quadratic(
                 spec, ap_budget=ap_budget, modulus_bit_budget=modulus_bit_budget
             )
         except ResourceBudgetError as exc:
             raise ResourceBudgetError(
-                f"stage {k} (n={n_k}, {len(split_set) + len(inert_set)} prescribed "
+                f"stage {k} (n={n_k}, {len(spec.split) + len(spec.inert)} prescribed "
                 f"primes): {exc}"
             ) from exc
         added = MultiquadField.from_generators([m_new])
@@ -371,7 +388,7 @@ def build_divergence_tower(
 
         disjoint = linearly_disjoint(current, added)
         # construct_prescribed_quadratic raised if any prescribed prime missed
-        want_total = float(len(split_set) + len(inert_set))
+        want_total = float(len(spec.split) + len(spec.inert))
         aux_witness = (
             splitting_type(m_new, aux) is SplittingType.INERT
             and totally_split(current, aux)
@@ -413,13 +430,6 @@ def build_divergence_tower(
             total >= num_stages * sum_target_per_block,
         ),
     )
-    params = {
-        "stages": num_stages,
-        "sum_target": sum_target_per_block,
-        "ap_budget": ap_budget,
-        "sieve_ceiling": sieve_ceiling,
-        "modulus_bit_budget": modulus_bit_budget,
-    }
     return ConstructionTrace(THM12_TOWER, params, tuple(stages), global_certs)
 
 
@@ -487,12 +497,10 @@ def build_split_prime_tower(
     The progression modulus is the primorial of n_i: it exceeds any fixed
     bit budget within a few stages, which surfaces as a resource error.
     """
-    if num_stages < 1:
-        raise ValueError(f"num_stages must be >= 1, got {num_stages}")
-    if num_stages > stage_cap:
-        raise ValueError(f"num_stages {num_stages} exceeds the stage cap {stage_cap}")
-    if not (math.isfinite(sum_target_per_block) and sum_target_per_block > 0):
-        raise ValueError("sum_target_per_block must be finite and positive")
+    params = _tower_params(
+        num_stages, sum_target_per_block, stage_cap=stage_cap, ap_budget=ap_budget,
+        sieve_ceiling=sieve_ceiling, modulus_bit_budget=modulus_bit_budget,
+    )
 
     current = MultiquadField.rationals()
     n_prev = 1
@@ -500,17 +508,11 @@ def build_split_prime_tower(
     stages: list[StageRecord] = []
     for i in range(1, num_stages + 1):
         block, block_sum, last_p = _scan_block(
-            current,
-            n_prev,
-            sum_target_per_block,
-            residue_filter=None,
-            lo_exclusive=True,
-            sieve_ceiling=sieve_ceiling,
-            stage_label=f"stage {i}",
+            current, n_prev + 1, sum_target_per_block, None, sieve_ceiling=sieve_ceiling, stage=i
         )
         n_i = last_p
         small = list(iter_primes(2, n_i, ceiling=sieve_ceiling))
-        bits = 2.0 + sum(math.log2(q) for q in small)
+        bits = 2.0 + math.fsum(map(math.log2, small))
         if bits > modulus_bit_budget:
             raise ResourceBudgetError(
                 f"stage {i}: progression modulus 4*({n_i} primorial) needs "
@@ -520,9 +522,7 @@ def build_split_prime_tower(
         p_i = find_prime_in_ap(1, modulus, max(n_i, p_prev), budget=ap_budget)
         added = SquarefreeInt.from_prime_factors(1, [p_i])
 
-        split_ok = sum(
-            1 for q in small if splitting_type(added, q) is SplittingType.SPLIT
-        )
+        split_ok = len(small) - len(prescription_problems(added, split_prime_spec(small)))
         grown = current.adjoin(added)
         widmer = WidmerTerm(
             stage=i,
@@ -565,13 +565,6 @@ def build_split_prime_tower(
         CertifiedInequality("discriminant-norm quantities strictly increase",
                             1.0 if increasing else 0.0, 1.0, increasing),
     )
-    params = {
-        "stages": num_stages,
-        "sum_target": sum_target_per_block,
-        "ap_budget": ap_budget,
-        "sieve_ceiling": sieve_ceiling,
-        "modulus_bit_budget": modulus_bit_budget,
-    }
     return ConstructionTrace(PROP71_TOWER, params, tuple(stages), global_certs)
 
 

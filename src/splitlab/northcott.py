@@ -40,6 +40,11 @@ def northcott_bounds(primes: Sequence[int]) -> NorthcottBounds:
             raise ValueError(f"{p} is not prime")
         if i and p == ordered[i - 1]:
             raise ValueError(f"duplicate prime {p}")
+    return _sum_bounds(ordered)
+
+
+def _sum_bounds(ordered: list[int]) -> NorthcottBounds:
+    """Both bounds for increasing distinct primes, summed by math.fsum."""
     lo = math.fsum(math.log(p) / (p + 1) for p in ordered)
     hi = math.fsum(math.log(p) / (p - 1) for p in ordered)
     return NorthcottBounds(tuple(ordered), 0.5 * lo, hi)
@@ -109,7 +114,7 @@ def select_prime_window(
             f"infeasible: log(p)/(p-1) at the window start p={primes[c]} already "
             f"exceeds 2r={2 * r}; enlarge r or epsilon"
         )
-    bounds = northcott_bounds(window)
+    bounds = _sum_bounds(window)  # the window is sieved: increasing distinct primes
     if not (bounds.lower > r - epsilon and bounds.upper <= 2.0 * r):
         raise ValueError(
             f"infeasible: selected window has lower={bounds.lower}, upper={bounds.upper}, "

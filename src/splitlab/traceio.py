@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+from dataclasses import asdict
 from importlib import resources
-from typing import Any
+from typing import Any, Iterator, Optional
 
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
@@ -27,13 +28,16 @@ from .constructions import (
     SplittingSpec,
     StageRecord,
     WidmerTerm,
-    _verify_prescription,
+    block_segments,
+    divergence_prescription,
+    prescription_problems,
+    split_prime_spec,
+    valid_sum_target,
 )
 from .errors import VerificationError
 from .multiquadratic import MultiquadField, linearly_disjoint, totally_split
 from .primes import DEFAULT_SIEVE_CEILING, is_prime, iter_primes
 from .quadratic import SplittingType, SquarefreeInt, splitting_type
-from .series import series_term
 
 TRACE_VERSION = 1
 
@@ -41,6 +45,9 @@ TRACE_VERSION = 1
 # amount.  It covers documents written when blocks were Kahan-summed: for
 # positive terms Kahan's error is at most 2u and fsum's u/2 (u = 2**-53).
 _STORED_SUM_REL = 2**-51
+
+# A construct-quadratic document's params: the SplittingSpec fields.
+_SPEC_PARAMS = ("split", "inert", "ramified", "two_behavior", "signature")
 
 
 def load_schema() -> dict:
@@ -80,30 +87,18 @@ def _factored_from_doc(doc: dict) -> SquarefreeInt:
     return m
 
 
-def _inequality_to_doc(c: CertifiedInequality) -> dict:
-    return {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "holds": c.holds}
-
-
 def _stage_to_doc(s: StageRecord) -> dict:
-    doc = {
+    return {
         "index": s.index,
         "n": s.n,
         "auxiliary_primes": list(s.auxiliary_primes),
         "field_added": _factored_to_doc(s.field_added),
         "cumulative_field": [_factored_to_doc(b) for b in s.cumulative_field.basis],
-        "certified_inequalities": [_inequality_to_doc(c) for c in s.certified_inequalities],
+        "certified_inequalities": [asdict(c) for c in s.certified_inequalities],
         "block_primes": list(s.block_primes),
         "block_sum": s.block_sum,
-        "widmer": None,
+        "widmer": None if s.widmer is None else asdict(s.widmer),
     }
-    if s.widmer is not None:
-        doc["widmer"] = {
-            "stage": s.widmer.stage,
-            "norm_base": s.widmer.norm_base,
-            "norm_exponent": s.widmer.norm_exponent,
-            "log_quantity": s.widmer.log_quantity,
-        }
-    return doc
 
 
 def trace_to_doc(trace: ConstructionTrace) -> dict:
@@ -112,7 +107,7 @@ def trace_to_doc(trace: ConstructionTrace) -> dict:
         "version": TRACE_VERSION,
         "params": dict(trace.params),
         "stages": [_stage_to_doc(s) for s in trace.stages],
-        "certificates": [_inequality_to_doc(c) for c in trace.certificates],
+        "certificates": [asdict(c) for c in trace.certificates],
     }
 
 
@@ -122,13 +117,8 @@ def quadratic_doc(spec: SplittingSpec, m: SquarefreeInt) -> dict:
     It stores no per-prime verdicts: the verifier re-derives the splitting at
     every prescribed prime from params and m.
     """
-    params = {
-        "split": sorted(spec.split),
-        "inert": sorted(spec.inert),
-        "ramified": sorted(spec.ramified),
-        "two_behavior": spec.two_behavior,
-        "signature": spec.signature,
-    }
+    params = {key: getattr(spec, key) for key in _SPEC_PARAMS}
+    params.update((key, sorted(params[key])) for key in ("split", "inert", "ramified"))
     stage = StageRecord(
         index=1, n=0, auxiliary_primes=(), field_added=m,
         cumulative_field=MultiquadField.from_generators([m]),
@@ -167,9 +157,6 @@ def trace_from_doc(
     stages = []
     for s, added in zip(doc["stages"], proved):
         field = field.adjoin(added)
-        widmer = None
-        if s.get("widmer") is not None:
-            widmer = WidmerTerm(**s["widmer"])
         stages.append(
             StageRecord(
                 index=s["index"],
@@ -182,7 +169,7 @@ def trace_from_doc(
                 ),
                 block_primes=tuple(s["block_primes"]),
                 block_sum=s["block_sum"],
-                widmer=widmer,
+                widmer=None if s.get("widmer") is None else WidmerTerm(**s["widmer"]),
             )
         )
     return ConstructionTrace(
@@ -194,24 +181,32 @@ def trace_from_doc(
 
 
 # ---------------------------------------------------------------------------
-# Independent re-verification
+# Re-verification
 # ---------------------------------------------------------------------------
 
 
 def _check_block(
-    issues: list[str], stage: dict, block: list[int], span: str, last: int,
-    field: MultiquadField, target: float,
+    issues: list[str], stage: dict, field: MultiquadField, lo: int, last: int,
+    residue_filter: Optional[tuple[int, int]], span: str, target: float, sieve_ceiling: int,
 ) -> float:
     """Check a stage's block against the primes of `span`, re-summed on `field`.
 
-    The builder stops at the first prime whose term lifts the math.fsum of
-    the block to the target, so the block must end at `last` and the sum
-    before that prime must fall short.  Returns the recomputed block sum.
+    The block must be every prime in [lo, last] that passes the residue
+    filter, with the builders' terms.  The builder stops at the first prime
+    whose term lifts the math.fsum of the block to the target, so the block
+    must end at `last` and the sum before that prime must fall short.
+    Returns the recomputed block sum.
     """
+    block: list[int] = []
+    terms: list[float] = []
+    for primes, seg_terms in block_segments(
+        field, lo, last, residue_filter, sieve_ceiling=sieve_ceiling
+    ):
+        block += primes
+        terms += seg_terms
     k, stored = stage["index"], stage["block_sum"]
     if block != list(stage["block_primes"]):
         issues.append(f"stage {k}: block primes differ from the range {span}")
-    terms = [series_term(field, p) for p in block]
     total, before_last = math.fsum(terms), math.fsum(terms[:-1])
     if not math.isclose(total, stored, rel_tol=_STORED_SUM_REL, abs_tol=0.0):
         issues.append(f"stage {k}: recomputed block sum {total} != stored {stored}")
@@ -227,35 +222,38 @@ def _check_block(
     return total
 
 
-def _verify_thm12(doc: dict, sieve_ceiling: int, proved: list[SquarefreeInt]) -> list[str]:
-    issues: list[str] = []
-    target = float(doc["params"].get("sum_target", 1.0))
-    previous = MultiquadField.rationals()
-    n_prev = 1
-    sums: list[float] = []
+def _tower_stages(
+    doc: dict, issues: list[str], proved: list[SquarefreeInt]
+) -> Iterator[tuple[int, dict, SquarefreeInt]]:
+    """(index, stage, proved field_added) per stage; a stage whose field_added
+    fails its factorization is reported and skipped."""
     for stage in doc["stages"]:
-        k = stage["index"]
         try:
             added = _factored_from_doc(stage["field_added"])
         except VerificationError as exc:
-            issues.append(f"stage {k}: {exc}")
+            issues.append(f"stage {stage['index']}: {exc}")
             continue
         proved.append(added)
+        yield stage["index"], stage, added
+
+
+def _verify_thm12(
+    doc: dict, target: float, sieve_ceiling: int, proved: list[SquarefreeInt]
+) -> list[str]:
+    issues: list[str] = []
+    previous = MultiquadField.rationals()
+    n_prev = 1
+    sums: list[float] = []
+    for k, stage, added in _tower_stages(doc, issues, proved):
         n_k = stage["n"]
-        block = [
-            p
-            for p in iter_primes(max(2, n_prev), n_k - 1, ceiling=sieve_ceiling)
-            if p % 4 == 3
-        ]
-        span = f"[{n_prev}, {n_k})"
-        sums.append(_check_block(issues, stage, block, span, n_k - 1, previous, target))
-        f_new = MultiquadField.from_generators([added])
-        if not linearly_disjoint(previous, f_new):
+        sums.append(_check_block(issues, stage, previous, n_prev, n_k - 1, (3, 4),
+                                 f"[{n_prev}, {n_k})", target, sieve_ceiling))
+        if not linearly_disjoint(previous, MultiquadField.from_generators([added])):
             issues.append(f"stage {k}: new field is not linearly disjoint")
-        for p in iter_primes(3, n_k, ceiling=sieve_ceiling):
-            want = SplittingType.SPLIT if p % 4 == 3 else SplittingType.INERT
-            if splitting_type(added, p) is not want:
-                issues.append(f"stage {k}: prime {p} is not {want.value} in the new field")
+        split, inert = divergence_prescription(n_k, sieve_ceiling=sieve_ceiling)
+        if split or inert:
+            spec = SplittingSpec(split=split, inert=inert)
+            issues += [f"stage {k}: {msg}" for msg in prescription_problems(added, spec)]
         for q in stage["auxiliary_primes"]:
             if splitting_type(added, q) is not SplittingType.INERT:
                 issues.append(f"stage {k}: auxiliary prime {q} is not inert above")
@@ -277,32 +275,27 @@ def _verify_thm12(doc: dict, sieve_ceiling: int, proved: list[SquarefreeInt]) ->
     return issues
 
 
-def _verify_prop71(doc: dict, sieve_ceiling: int, proved: list[SquarefreeInt]) -> list[str]:
+def _verify_prop71(
+    doc: dict, target: float, sieve_ceiling: int, proved: list[SquarefreeInt]
+) -> list[str]:
     issues: list[str] = []
-    target = float(doc["params"].get("sum_target", 1.0))
     previous = MultiquadField.rationals()
     n_prev = 1
     p_prev = 0
     last_log = -math.inf
-    for stage in doc["stages"]:
-        i = stage["index"]
-        try:
-            added = _factored_from_doc(stage["field_added"])
-        except VerificationError as exc:
-            issues.append(f"stage {i}: {exc}")
-            continue
-        proved.append(added)
+    for i, stage, added in _tower_stages(doc, issues, proved):
         p_i = added.value
         n_i = stage["n"]
-        block = list(iter_primes(n_prev + 1, n_i, ceiling=sieve_ceiling))
-        _check_block(issues, stage, block, f"({n_prev}, {n_i}]", n_i, previous, target)
+        _check_block(issues, stage, previous, n_prev + 1, n_i, None,
+                     f"({n_prev}, {n_i}]", target, sieve_ceiling)
+        if added.atoms != {p_i}:
+            issues.append(f"stage {i}: field_added {p_i} is not one positive prime")
         if p_i % 4 != 1:
             issues.append(f"stage {i}: prime {p_i} is not 1 mod 4")
         if p_i <= max(n_i, p_prev):
             issues.append(f"stage {i}: prime does not exceed max(n, previous prime)")
-        for q in iter_primes(2, n_i, ceiling=sieve_ceiling):
-            if splitting_type(added, q) is not SplittingType.SPLIT:
-                issues.append(f"stage {i}: prime {q} does not split totally in Q(sqrt(p))")
+        spec = split_prime_spec(list(iter_primes(2, n_i, ceiling=sieve_ceiling)))
+        issues += [f"stage {i}: {msg}" for msg in prescription_problems(added, spec)]
         w = stage.get("widmer")
         if w is None:
             issues.append(f"stage {i}: missing discriminant-norm record")
@@ -323,26 +316,32 @@ def _verify_prop71(doc: dict, sieve_ceiling: int, proved: list[SquarefreeInt]) -
     return issues
 
 
+def _verify_tower(doc: dict, sieve_ceiling: int, proved: list[SquarefreeInt]) -> list[str]:
+    """A tower's params must be ones its builder accepts, then its stages verify."""
+    issues: list[str] = []
+    params, count = doc["params"], len(doc["stages"])
+    if params.get("stages") != count:
+        issues.append(f"params: stages is {params.get('stages')!r}, the trace has {count}")
+    target = params.get("sum_target", 1.0)
+    if not (isinstance(target, (int, float)) and valid_sum_target(target)):
+        return issues + [f"params: sum target {target!r} is not finite and positive"]
+    walk = _verify_thm12 if doc["construction"] == THM12_TOWER else _verify_prop71
+    return issues + walk(doc, float(target), sieve_ceiling, proved)
+
+
 def _verify_quadratic(doc: dict, proved: list[SquarefreeInt]) -> list[str]:
     params = doc["params"]
-    spec = SplittingSpec(
-        split=frozenset(params["split"]),
-        inert=frozenset(params["inert"]),
-        ramified=frozenset(params["ramified"]),
-        two_behavior=params["two_behavior"],
-        signature=params["signature"],
-    )
+    spec = SplittingSpec(**{key: params[key] for key in _SPEC_PARAMS})
     try:
         m = _factored_from_doc(doc["stages"][0]["field_added"])
-        proved.append(m)
-        if m.value != doc.get("m", m.value):
-            return [f"stage field {m.value} disagrees with top-level m={doc['m']}"]
-        if [[b["value"] for b in s["cumulative_field"]] for s in doc["stages"]] != [[m.value]]:
-            return ["the stages are not the one field Q(sqrt(m))"]
-        _verify_prescription(m, spec)
     except VerificationError as exc:
         return [str(exc)]
-    return []
+    proved.append(m)
+    if m.value != doc.get("m", m.value):
+        return [f"stage field {m.value} disagrees with top-level m={doc['m']}"]
+    if [[b["value"] for b in s["cumulative_field"]] for s in doc["stages"]] != [[m.value]]:
+        return ["the stages are not the one field Q(sqrt(m))"]
+    return prescription_problems(m, spec)
 
 
 def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], list[SquarefreeInt]]:
@@ -357,10 +356,8 @@ def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], list[SquarefreeIn
                 issues.append(f"{where}: stored certificate {c['name']!r} does not hold")
     proved: list[SquarefreeInt] = []
     kind = doc["construction"]
-    if kind == THM12_TOWER:
-        issues.extend(_verify_thm12(doc, sieve_ceiling, proved))
-    elif kind == PROP71_TOWER:
-        issues.extend(_verify_prop71(doc, sieve_ceiling, proved))
+    if kind in (THM12_TOWER, PROP71_TOWER):
+        issues.extend(_verify_tower(doc, sieve_ceiling, proved))
     elif kind == CONSTRUCT_QUADRATIC:
         issues.extend(_verify_quadratic(doc, proved))
     else:  # unreachable once the schema passed

@@ -213,8 +213,7 @@ def test_scan_block_equals_scalar_series_terms():
     # series_term prime by prime.
     field = MultiquadField.from_generators([3, 7, 460_322_471_827])
     block, block_sum, last_p = _scan_block(
-        field, 1009, 0.3, residue_filter=(3, 4), lo_exclusive=True,
-        sieve_ceiling=10**7, stage_label="test",
+        field, 1010, 0.3, (3, 4), sieve_ceiling=10**7, stage=0
     )
     primes = [p for p in iter_primes(1010, last_p) if p % 4 == 3]
     terms = [series_term(field, p) for p in primes]

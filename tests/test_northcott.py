@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from splitlab import northcott
 from splitlab.northcott import northcott_bounds, select_prime_window
 from splitlab.primes import iter_primes
 
@@ -144,3 +145,14 @@ def test_pinned_windows(r, epsilon):
 def test_pinned_infeasible_outcomes(r, epsilon, ceiling, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         select_prime_window(r, epsilon, tail_ceiling=ceiling)
+
+
+def test_selector_does_not_reprove_its_window(monkeypatch):
+    # The window comes from the sieve; only caller-supplied sets are proved.
+    calls = []
+    real = northcott.is_prime
+    monkeypatch.setattr(northcott, "is_prime", lambda n: calls.append(n) or real(n))
+    window, bounds = select_prime_window(1.0, 0.25)
+    assert calls == []
+    monkeypatch.undo()
+    assert bounds == northcott_bounds(window)

@@ -1,9 +1,12 @@
+import contextlib
 import copy
+import io
 import json
 import math
 
 import pytest
 
+from splitlab.cli import run as cli_run
 from splitlab.constructions import (
     SplittingSpec,
     build_divergence_tower,
@@ -251,3 +254,101 @@ class TestVerification:
         assert issues == [
             "stage 1: stored certificate 'splitting at 3 is inert' does not hold"
         ]
+
+
+def _cli_exit_code(doc, tmp_path, *command):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))  # writes NaN as NaN, which json.load reads back
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli_run([*command, str(path)])
+
+
+def _nan_target_thm12_doc():
+    """A 0.5-target divergence tower with its target set to NaN, stage 1 cut to
+    the block [3] at n = 4, and 7 moved into stage 2, both sums recomputed."""
+    trace = build_divergence_tower(2, 0.5)
+    doc = trace_to_doc(trace)
+    fields = trace.stage_fields()
+    first, second = doc["stages"]
+    assert first["block_primes"] == [3, 7]
+    first.update(block_primes=[3], n=4)
+    second["block_primes"].insert(0, 7)
+    for stage in (first, second):
+        field = fields[stage["index"] - 1]
+        stage["block_sum"] = math.fsum(series_term(field, p) for p in stage["block_primes"])
+    doc["params"]["sum_target"] = math.nan
+    return doc
+
+
+class TestTowerRules:
+    """Edits the builders could never emit, each of which once verified."""
+
+    def test_nan_sum_target_rejected(self, tmp_path):
+        doc = _nan_target_thm12_doc()
+        assert verify_trace_doc(doc) == ["params: sum target nan is not finite and positive"]
+        assert _cli_exit_code(doc, tmp_path, "verify") == 3
+        assert _cli_exit_code(doc, tmp_path, "adjoin-i-bound", "--in") == 3
+        # with the target the tower was built for, the cut stage falls short
+        doc["params"]["sum_target"] = 0.5
+        assert "stage 1: block sum" in verify_trace_doc(doc)[0]
+
+    @pytest.mark.parametrize("target", [math.inf, -math.inf, 0.0, -0.5, "1.0", None])
+    def test_sum_target_the_builders_reject(self, thm12_doc, prop71_doc, target):
+        for doc in (thm12_doc, prop71_doc):
+            broken = copy.deepcopy(doc)
+            broken["params"]["sum_target"] = target
+            assert verify_trace_doc(broken) == [
+                f"params: sum target {target!r} is not finite and positive"
+            ]
+
+    def test_deleted_stage_rejected(self, thm12_doc, prop71_doc):
+        for doc in (thm12_doc, prop71_doc):
+            broken = copy.deepcopy(doc)
+            del broken["stages"][1]
+            assert verify_trace_doc(broken) == ["params: stages is 2, the trace has 1"]
+
+    def test_composite_split_prime_generator_rejected(self, prop71_doc, tmp_path):
+        # 6721 = 11 * 13 * 47 = 1 (mod 840) replaces stage 1's prime 2521;
+        # stage 2's block is rescanned on the new field, so only the
+        # factorization of the generator gives it away.
+        composite = {"value": 6721, "factors": [[11, 1], [13, 1], [47, 1]]}
+        doc = copy.deepcopy(prop71_doc)
+        first, second = doc["stages"]
+        first.update(field_added=composite, cumulative_field=[composite])
+        first["widmer"].update(norm_base=6721, log_quantity=math.log(6721) / 4.0)
+        below = MultiquadField.from_generators([6721])
+        block, terms = [], []
+        for p in iter_primes(first["n"] + 1, 10**4):
+            block.append(p)
+            terms.append(series_term(below, p))
+            if math.fsum(terms) >= 1.0:
+                break
+        second.update(block_primes=block, block_sum=math.fsum(terms), n=block[-1])
+        grown = below.adjoin(second["field_added"]["value"])
+        second["cumulative_field"] = [
+            {"value": b.value, "factors": [[q, 1] for q, _ in b.factored.factors]}
+            for b in grown.basis
+        ]
+        assert verify_trace_doc(doc) == ["stage 1: field_added 6721 is not one positive prime"]
+        assert _cli_exit_code(doc, tmp_path, "verify") == 3
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_thm12_threshold_without_odd_primes_reports_issues(self, thm12_doc, tmp_path, n):
+        broken = copy.deepcopy(thm12_doc)
+        broken["stages"][0]["n"] = n
+        assert verify_trace_doc(broken)
+        assert _cli_exit_code(broken, tmp_path, "verify") == 3
+
+    def test_recomputed_block_sums_equal_scalar_terms(self, thm12_two_stage):
+        # The verifier sums on the scan kernel; series_term is the scalar
+        # reference.  A stored sum of 0 makes the verifier print its own.
+        for trace in (thm12_two_stage, build_split_prime_tower(2)):
+            doc, fields = trace_to_doc(trace), trace.stage_fields()
+            for stage in trace.stages:
+                want = math.fsum(series_term(fields[stage.index - 1], p)
+                                 for p in stage.block_primes)
+                broken = copy.deepcopy(doc)
+                broken["stages"][stage.index - 1]["block_sum"] = 0.0
+                assert verify_trace_doc(broken) == [
+                    f"stage {stage.index}: recomputed block sum {want} != stored 0.0"
+                ]
