@@ -239,6 +239,8 @@ def is_prime(n: int) -> bool:
     for p in _TINY_PRIMES:
         if n % p == 0:
             return n == p
+    if n < _TINY_PRIMES[-1] ** 2:  # a composite this small has a tiny factor
+        return True
     for a in _MR_BASES:
         if not _mr_round(n, a):
             return False

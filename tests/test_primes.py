@@ -92,8 +92,9 @@ class TestPrimeRange:
 
 class TestIsPrime:
     def test_small_range_against_sieve(self):
-        marks = set(trial_division_primes(2, 2000))
-        for n in range(2000):
+        # past 67**2 = 4489, where trial division alone stops deciding
+        marks = set(trial_division_primes(2, 6000))
+        for n in range(6000):
             assert is_prime(n) == (n in marks)
 
     @pytest.mark.parametrize(
