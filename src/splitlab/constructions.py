@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .series import (
     SeriesReport,
     StabilizationCertificate,
     first_reaching,
+    range_terms,
     segment_terms,
     tail_bound_fully_inert,
 )
@@ -265,32 +266,19 @@ def _tower_params(num_stages: int, sum_target: float, *, stage_cap: int, **budge
     return {"stages": num_stages, "sum_target": sum_target, **budgets}
 
 
-def block_segments(
-    field: MultiquadField, lo: int, hi: int, residue_filter: Optional[tuple[int, int]],
-    *, sieve_ceiling: int,
-) -> Iterator[tuple[list[int], list[float]]]:
-    """Per sieve segment, the primes p in [lo, hi] (only p = r mod q when
-    residue_filter is (r, q)) and their series terms on the field."""
-    for p, e, f in scan(field, lo, hi, sieve_ceiling=sieve_ceiling):
-        if residue_filter is not None:
-            keep = p % residue_filter[1] == residue_filter[0]
-            p, e, f = p[keep], e[keep], f[keep]
-        yield p.tolist(), segment_terms(p, e, f).tolist()
-
-
 def _scan_block(
     field: MultiquadField, lo: int, target: float, residue_filter: Optional[tuple[int, int]],
     *, sieve_ceiling: int, stage: int,
 ) -> tuple[list[int], float, int]:
-    """Collect the block_segments terms from `lo` until their math.fsum
+    """Collect the range_terms terms from `lo` until their math.fsum
     reaches the target; returns (block primes, block sum, last prime)."""
     block: list[int] = []
     terms: list[float] = []
-    for primes, seg_terms in block_segments(
-        field, lo, sieve_ceiling, residue_filter, sieve_ceiling=sieve_ceiling
+    for p, _, _, seg_terms in range_terms(
+        field, lo, sieve_ceiling, residue_filter=residue_filter, sieve_ceiling=sieve_ceiling
     ):
-        block += primes
-        terms += seg_terms
+        block += p.tolist()
+        terms += seg_terms.tolist()
         k = first_reaching(terms, target)
         if k is not None:
             return block[:k], math.fsum(terms[:k]), block[k - 1]
@@ -441,11 +429,12 @@ def certify_adjoin_i_convergence(
 ) -> SeriesReport:
     """Upper bound for the splitting series after adjoining i to the tower.
 
-    Primes p = 1 (mod 4) contribute at most log(p)/(e_p (p^2 + 1)) once some
-    stage inerts them (the tower recipe does so for every such prime
-    eventually); all other primes are covered by the term of Q(i) bounded by
-    log(p)/(p^2 + 1).  Terms are summed up to the ceiling and the remainder is
-    covered by the integral tail bound.
+    Each prime up to the ceiling takes f = 2, and e = 2 only if it is a
+    p = 1 (mod 4) dividing a generator of the top field (2 ramifies in Q(i):
+    its true term is below the log(2)/5 used).  This bounds the tower's terms
+    only under the recipe's promise, not checked here, that some stage inerts
+    each p = 1 (mod 4).  An integral tail bound covers the primes above the
+    ceiling.  perfbench/oracle.py's adjoin_i_sum pins this formula.
     """
     if trace.construction != THM12_TOWER:
         raise ValueError(f"expected a {THM12_TOWER} trace, got {trace.construction}")

@@ -16,7 +16,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Union
 
 from .errors import ResourceBudgetError
-from .quadratic import LocalData, SplittingType, SquarefreeInt, splitting_type
+from .quadratic import LocalData, SplittingType, SquarefreeInt, splitting_type, two_adic_class
 from .primes import kronecker
 
 _CLASS_ENUM_CAP = 20
@@ -140,27 +140,12 @@ def is_totally_real(field: MultiquadField) -> bool:
 # Local data
 # ---------------------------------------------------------------------------
 
-# Square classes of the 2-adic field, written (-1)^a 5^b 2^c, indexed by the
-# residue of the odd part mod 8 and the parity of the exponent of 2.  The
-# eight classes are represented by {1, 5, -1, -5, 2, 10, -2, -10}.
-_TWO_ADIC_ODD = {1: (0, 0), 3: (1, 1), 5: (0, 1), 7: (1, 0)}
-
+# The eight 2-adic square classes (see quadratic.two_adic_class), named by
+# their representatives {1, 5, -1, -5, 2, 10, -2, -10}.
 _TWO_ADIC_NAMES = {
     (0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): 5, (1, 1, 0): -5,
     (0, 0, 1): 2, (1, 0, 1): -2, (0, 1, 1): 10, (1, 1, 1): -10,
 }
-
-
-def two_adic_class(m: int) -> tuple[int, int, int]:
-    """Image of a squarefree m in Q_2* / (Q_2*)^2 as exponents of (-1, 5, 2)."""
-    if m == 0:
-        raise ValueError("0 has no square class")
-    c = 0
-    if m % 2 == 0:
-        m //= 2
-        c = 1
-    a, b = _TWO_ADIC_ODD[m % 8]
-    return (a, b, c)
 
 
 def two_adic_class_name(m: int) -> int:

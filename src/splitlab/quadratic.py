@@ -80,20 +80,28 @@ def discriminant(field: SquarefreeInt) -> int:
     return m if m % 4 == 1 else 4 * m
 
 
-def splitting_type(field: SquarefreeInt, p: int) -> SplittingType:
-    """How the rational prime p decomposes in Q(sqrt(m)).
+# Square classes of the 2-adic field, written (-1)^a 5^b 2^c: the odd part's
+# residue mod 8 gives (a, b), the parity of the exponent of 2 gives c.
+_TWO_ADIC_ODD = {1: (0, 0), 3: (1, 1), 5: (0, 1), 7: (1, 0)}
 
-    For p = 2 the three branches are fixed by the residue of m mod 8; they are
-    pinned by unit tests rather than derived from general ramification theory.
-    """
+# Q_2(sqrt(m)) is Q_2 itself for the trivial class, the unramified quadratic
+# extension for the class of 5, and ramified for the other six.
+_TWO_ADIC_SPLITTING = {(0, 0, 0): SplittingType.SPLIT, (0, 1, 0): SplittingType.INERT}
+
+
+def two_adic_class(m: int) -> tuple[int, int, int]:
+    """Image of a squarefree m in Q_2* / (Q_2*)^2 as exponents of (-1, 5, 2)."""
+    if m == 0:
+        raise ValueError("0 has no square class")
+    c = 1 - m % 2
+    return (*_TWO_ADIC_ODD[(m >> c) % 8], c)
+
+
+def splitting_type(field: SquarefreeInt, p: int) -> SplittingType:
+    """How the rational prime p decomposes in Q(sqrt(m))."""
     m = field.value
     if p == 2:
-        r = m % 8
-        if r == 1:
-            return SplittingType.SPLIT
-        if r == 5:
-            return SplittingType.INERT
-        return SplittingType.RAMIFIED  # m even, or m = 3 (mod 4)
+        return _TWO_ADIC_SPLITTING.get(two_adic_class(m), SplittingType.RAMIFIED)
     if m % p == 0:
         return SplittingType.RAMIFIED
     return SplittingType.SPLIT if kronecker(m, p) == 1 else SplittingType.INERT

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .multiquadratic import MultiquadField, local_data
-from .primes import DEFAULT_SIEVE_CEILING, PrimeRange, iter_primes
+from .primes import DEFAULT_SIEVE_CEILING, PrimeRange
 from .scan import scan
 
 
@@ -98,6 +98,21 @@ def segment_terms(p: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
     return logs / (e * (power + 1.0))
 
 
+def range_terms(
+    field: MultiquadField, lo: int, hi: int, *,
+    residue_filter: Optional[tuple[int, int]] = None, sieve_ceiling: int = DEFAULT_SIEVE_CEILING,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The (p, e, f, term) arrays of scan.scan and segment_terms, one per sieve
+    segment of [lo, hi]; residue_filter (r, q) keeps only the primes p = r (mod q).
+    Segments depend on lo and hi alone, so scans of one range line up across fields.
+    """
+    for p, e, f in scan(field, lo, hi, sieve_ceiling=sieve_ceiling):
+        if residue_filter is not None:
+            keep = p % residue_filter[1] == residue_filter[0]
+            p, e, f = p[keep], e[keep], f[keep]
+        yield p, e, f, segment_terms(p, e, f)
+
+
 def partial_sum(
     field: MultiquadField,
     rng: PrimeRange,
@@ -113,23 +128,19 @@ def partial_sum(
     series_term computes it, and math.fsum rounds their exact sum once, so
     the result does not depend on order or on how the range is segmented.
     """
-    kept: list[tuple[int, int, int, float]] = []
-
-    def segments() -> Iterator[list[float]]:
-        lo = rng.lo if include_two else max(rng.lo, 3)
-        for p, e, f in scan(field, lo, rng.hi, sieve_ceiling=sieve_ceiling):
-            seg = segment_terms(p, e, f).tolist()
-            if with_terms:
-                kept.extend(zip(p.tolist(), e.tolist(), f.tolist(), seg))
-            yield seg
-
-    total = math.fsum(chain.from_iterable(segments()))
+    lo = rng.lo if include_two else max(rng.lo, 3)
+    segments = range_terms(field, lo, rng.hi, sieve_ceiling=sieve_ceiling)
+    kept = None
+    if with_terms:  # the breakdown holds every prime anyway
+        segments = list(segments)
+        kept = tuple(row for seg in segments for row in zip(*(a.tolist() for a in seg)))
+    total = math.fsum(chain.from_iterable(terms.tolist() for *_, terms in segments))
     return SeriesReport(
         field_degree=field.degree,
         prime_lo=rng.lo,
         prime_hi=rng.hi,
         partial_sum=total,
-        per_prime_terms=tuple(kept) if with_terms else None,
+        per_prime_terms=kept,
     )
 
 
@@ -168,37 +179,35 @@ def tower_sum(
             )
         cert_by_prime[cert.prime] = cert.stage
     uncertified: list[int] = []
-    selected: list[tuple[int, int]] = []
-    for p in iter_primes(rng.lo, rng.hi, ceiling=sieve_ceiling):
-        if residue_filter is not None and p % residue_filter[1] != residue_filter[0]:
-            continue
-        stage = cert_by_prime.get(p)
-        if stage is None:
-            uncertified.append(p)
-        else:
-            selected.append((p, stage))
-    if uncertified:
-        raise ValueError(
-            "unstabilized primes in range (no certificate): "
-            + ", ".join(map(str, uncertified[:20]))
-            + ("..." if len(uncertified) > 20 else "")
-        )
-    local: list[tuple[int, int, int]] = []
-    for p, stage in selected:
-        data = local_data(stages[stage], p)
+    contradiction: Optional[str] = None
+    terms: list[float] = []
+    rows = [range_terms(field, rng.lo, rng.hi, residue_filter=residue_filter,
+                        sieve_ceiling=sieve_ceiling) for field in stages]
+    for segment in zip(*rows):  # one row per stage, over the same primes
+        p = segment[0][0]
+        stage = np.array([cert_by_prime.get(q, -1) for q in p.tolist()], dtype=np.int64)
+        uncertified += p[stage < 0].tolist()
+        kept = np.flatnonzero(stage >= 0)
+        p, stage = p[kept], stage[kept]
+        e, f, term = (np.stack([row[k] for row in segment])[:, kept] for k in (1, 2, 3))
+        at = np.arange(len(kept))
+        terms += term[stage, at].tolist()
         # the certificate claims later provided stages leave (e, f) unchanged
-        for later in range(stage + 1, len(stages)):
-            other = local_data(stages[later], p)
-            if (other.e, other.f) != (data.e, data.f):
-                raise VerificationError(
-                    f"stabilization certificate for p={p} at stage {stage} is "
-                    f"contradicted at stage {later}"
-                )
-        local.append((p, data.e, data.f))
-    p, e, f = np.array(local, dtype=np.int64).reshape(-1, 3).T
+        later = np.arange(len(stages))[:, None] > stage
+        moved = later & ((e != e[stage, at]) | (f != f[stage, at]))
+        if contradiction is None and moved.any():
+            i = np.flatnonzero(moved.any(axis=0))[0]
+            contradiction = (f"stabilization certificate for p={p[i]} at stage {stage[i]} "
+                             f"is contradicted at stage {np.argmax(moved[:, i])}")
+    if uncertified:
+        more = "..." if len(uncertified) > 20 else ""
+        raise ValueError("unstabilized primes in range (no certificate): "
+                         + ", ".join(map(str, uncertified[:20])) + more)
+    if contradiction is not None:
+        raise VerificationError(contradiction)
     return SeriesReport(
         field_degree=stages[-1].degree,
         prime_lo=rng.lo,
         prime_hi=rng.hi,
-        partial_sum=math.fsum(segment_terms(p, e, f).tolist()),
+        partial_sum=math.fsum(terms),
     )

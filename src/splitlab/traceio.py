@@ -28,7 +28,6 @@ from .constructions import (
     SplittingSpec,
     StageRecord,
     WidmerTerm,
-    block_segments,
     divergence_prescription,
     prescription_problems,
     split_prime_spec,
@@ -38,6 +37,7 @@ from .errors import VerificationError
 from .multiquadratic import MultiquadField, linearly_disjoint, totally_split
 from .primes import DEFAULT_SIEVE_CEILING, is_prime, iter_primes
 from .quadratic import SplittingType, SquarefreeInt, splitting_type
+from .series import range_terms
 
 TRACE_VERSION = 1
 
@@ -79,7 +79,10 @@ def _factored_from_doc(doc: dict) -> SquarefreeInt:
         if not is_prime(p):
             raise VerificationError(f"claimed factor {p} is not prime")
         primes.append(p)
-    m = SquarefreeInt.from_prime_factors(sign, primes)
+    try:
+        m = SquarefreeInt.from_prime_factors(sign, primes)
+    except ValueError as exc:  # a repeated prime, or m = 1
+        raise VerificationError(str(exc)) from exc
     if m.value != doc["value"]:
         raise VerificationError(
             f"factored value mismatch: factors give {m.value}, document says {doc['value']}"
@@ -199,11 +202,11 @@ def _check_block(
     """
     block: list[int] = []
     terms: list[float] = []
-    for primes, seg_terms in block_segments(
-        field, lo, last, residue_filter, sieve_ceiling=sieve_ceiling
+    for p, _, _, seg_terms in range_terms(
+        field, lo, last, residue_filter=residue_filter, sieve_ceiling=sieve_ceiling
     ):
-        block += primes
-        terms += seg_terms
+        block += p.tolist()
+        terms += seg_terms.tolist()
     k, stored = stage["index"], stage["block_sum"]
     if block != list(stage["block_primes"]):
         issues.append(f"stage {k}: block primes differ from the range {span}")
@@ -331,7 +334,12 @@ def _verify_tower(doc: dict, sieve_ceiling: int, proved: list[SquarefreeInt]) ->
 
 def _verify_quadratic(doc: dict, proved: list[SquarefreeInt]) -> list[str]:
     params = doc["params"]
-    spec = SplittingSpec(**{key: params[key] for key in _SPEC_PARAMS})
+    try:
+        spec = SplittingSpec(**{key: params[key] for key in _SPEC_PARAMS})
+    except KeyError as exc:
+        return [f"params: missing {exc.args[0]!r}"]
+    except (TypeError, ValueError) as exc:
+        return [f"params: {exc}"]
     try:
         m = _factored_from_doc(doc["stages"][0]["field_added"])
     except VerificationError as exc:

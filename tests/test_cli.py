@@ -120,6 +120,45 @@ class TestExitCodes:
         assert diag["error"]["kind"] == "invalid-argument"
         assert "does not match the schema" in diag["error"]["message"]
 
+    @pytest.mark.parametrize("check", [["verify"],
+                                       ["adjoin-i-bound", "--prime-ceiling", "1000", "--in"]],
+                             ids=["verify", "adjoin-i-bound"])
+    @pytest.mark.parametrize(
+        "build, edit, issue",
+        [
+            (["thm12-tower", "--stages", "1"],
+             lambda doc: doc["stages"][0].update(field_added={"value": 1, "factors": []}),
+             "rational field"),
+            (["construct-quadratic", "--split", "5", "--inert", "3"],
+             lambda doc: doc["params"].update(split=[4]), "odd primes, got 4"),
+            (["construct-quadratic", "--split", "5", "--inert", "3"],
+             lambda doc: doc["params"].pop("split"), "params: missing 'split'"),
+            (["construct-quadratic", "--split", "5", "--inert", "3"],
+             lambda doc: doc["params"].update(split=5), "params: 'int' object is not iterable"),
+            (["thm12-tower", "--stages", "1"],
+             lambda doc: doc["stages"][0]["field_added"]["factors"].append(
+                 doc["stages"][0]["field_added"]["factors"][0]),
+             "strictly increasing"),
+        ],
+        ids=["field-added-one", "split-four", "split-missing", "split-not-a-list",
+             "factor-twice"],
+    )
+    def test_rejected_document_values_are_three(self, capsys, tmp_path, check, build, edit,
+                                                 issue):
+        code, out, _ = capture(capsys, build)
+        assert code == 0
+        doc = json.loads(out)
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = capture(capsys, check + [str(path)])
+        assert code == 3
+        diag = json.loads(err.strip().splitlines()[-1])
+        assert diag["error"]["kind"] == "verification"
+        assert issue in diag["error"]["message"]
+        if check == ["verify"]:
+            assert any(issue in line for line in json.loads(out)["issues"])
+
     def test_missing_file_is_one(self, capsys):
         code, _, _ = capture(capsys, ["verify", "/nonexistent/trace.json"])
         assert code == 1

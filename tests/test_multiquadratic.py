@@ -12,6 +12,7 @@ from splitlab.multiquadratic import (
     linearly_disjoint,
     local_data,
     totally_split,
+    two_adic_class,
     two_adic_class_name,
 )
 from splitlab.quadratic import SplittingType, local_data_quadratic, splitting_type
@@ -160,7 +161,13 @@ class TestLocalData:
         assert (data.e, data.f, data.g) == expected
 
     def test_rank_one_agrees_with_quadratic(self):
-        for m in (-10, -5, -2, -1, 2, 3, 5, 6, 15):
+        # every squarefree m != 1 with |m| < 200: each odd residue mod 8, even
+        # and negative m, all eight 2-adic classes, so both APIs are held to
+        # one rule at p = 2
+        squarefree = [m for m in range(-199, 200) if m not in (0, 1)
+                      and all(m % (d * d) for d in range(2, 15))]
+        assert len({two_adic_class(m) for m in squarefree}) == 8
+        for m in squarefree:
             field = MultiquadField.from_generators([m])
             for p in primes_below(100):
                 assert local_data(field, p) == local_data_quadratic(field.basis[0], p)

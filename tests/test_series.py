@@ -4,7 +4,7 @@ import random
 import pytest
 
 from splitlab.errors import VerificationError
-from splitlab.multiquadratic import MultiquadField, compositum
+from splitlab.multiquadratic import MultiquadField, compositum, local_data
 from splitlab.primes import PrimeRange, iter_primes
 from splitlab.series import (
     StabilizationCertificate,
@@ -158,7 +158,78 @@ class TestTailBound:
             assert tail < tail_bound_fully_inert(start)
 
 
+def scalar_tower_sum(stages, rng, certificates, residue_filter=None):
+    """tower_sum by its definition, one prime and one stage at a time."""
+    stage_of = {c.prime: c.stage for c in certificates}
+    primes = [
+        p for p in iter_primes(rng.lo, rng.hi)
+        if residue_filter is None or p % residue_filter[1] == residue_filter[0]
+    ]
+    missing = [p for p in primes if p not in stage_of]
+    if missing:
+        raise ValueError(
+            "unstabilized primes in range (no certificate): "
+            + ", ".join(map(str, missing[:20])) + ("..." if len(missing) > 20 else "")
+        )
+    for p in primes:
+        data = local_data(stages[stage_of[p]], p)
+        for later in range(stage_of[p] + 1, len(stages)):
+            other = local_data(stages[later], p)
+            if (other.e, other.f) != (data.e, data.f):
+                raise VerificationError(
+                    f"stabilization certificate for p={p} at stage {stage_of[p]} is "
+                    f"contradicted at stage {later}"
+                )
+    return math.fsum(series_term(stages[stage_of[p]], p) for p in primes)
+
+
+def stable_stage(stages, p):
+    """The first stage from which p's (e, f) no longer changes."""
+    data = [(d.e, d.f) for d in (local_data(field, p) for field in stages)]
+    return max((k for k in range(1, len(stages)) if data[k] != data[k - 1]), default=0)
+
+
+# 4099 and 65537 lie above scan._TABLE_BELOW, so they take the Euler criterion.
+TOWER_ATOMS = [-1, 2, -2, 3, 5, -5, 7, 11, 13, -15, 17, 4099, 65537]
+
+
 class TestTowerSum:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("residue_filter", [None, (3, 4), (1, 8)])
+    def test_matches_its_scalar_definition(self, seed, residue_filter):
+        # Ranges straddle the end of the first sieve segment (2**10 integers).
+        rnd = random.Random(seed)
+        stages = [Q]
+        for _ in range(rnd.randint(1, 3)):
+            stages.append(stages[-1].adjoin(rnd.choice(TOWER_ATOMS)))
+        rng = PrimeRange(rnd.randint(2, 600), rnd.randint(1100, 3000))
+        stable = {p: stable_stage(stages, p) for p in iter_primes(rng.lo, rng.hi)}
+        certs = [
+            StabilizationCertificate(p, rnd.randint(s, len(stages) - 1))
+            for p, s in stable.items()
+        ]
+        kind = seed % 4  # honest, then contradicted, uncertified, or both
+        changing = [i for i, c in enumerate(certs) if stable[c.prime] > 0]
+        for _ in range(rnd.randint(1, 5) if kind else 0):
+            if kind in (1, 3):
+                i = rnd.choice(changing)
+                certs[i] = StabilizationCertificate(
+                    certs[i].prime, rnd.randrange(stable[certs[i].prime])
+                )
+            if kind in (2, 3):
+                del certs[rnd.randrange(len(certs))]
+                changing = [i for i, c in enumerate(certs) if stable[c.prime] > 0]
+        try:
+            want = scalar_tower_sum(stages, rng, certs, residue_filter)
+        except (ValueError, VerificationError) as exc:
+            with pytest.raises(type(exc)) as got:
+                tower_sum(stages, rng, certs, residue_filter=residue_filter)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        else:
+            report = tower_sum(stages, rng, certs, residue_filter=residue_filter)
+            assert report.partial_sum == want
+            assert report.field_degree == stages[-1].degree
+
     def test_degenerate_tower_equals_partial_sum(self):
         rng = PrimeRange(2, 200)
         certs = [StabilizationCertificate(p, 0) for p in iter_primes(2, 200)]

@@ -10,7 +10,8 @@ the two in alternating order from pair to pair, so that a drift of the
 machine's speed falls on both sides alike. The run records that perfbench
 writes to .perfbench_out/ are read back, and the output holds the command
 that made it, every run plus, per side, the median and quartiles of
-setup_s, wall_ref and peak_rss_mb.
+setup_s, wall_ref and peak_rss_mb, and each side's count of Python lines
+under src/.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ def modexp_backend(checkout: Path) -> str:
     return "libgmp via ctypes" if proc.stdout.strip() == "True" else "cpython pow"
 
 
+def src_py_lines(checkout: Path) -> int:
+    return sum(len(path.read_text().splitlines()) for path in (checkout / "src").rglob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -88,7 +93,8 @@ def main(argv=None) -> int:
         env = envs[side]
         doc[side] = {"commit": env["commit"], "modexp_backend": modexp_backend(checkout),
                      "libgmp": env["libgmp"], "python": env["python"], "numpy": env["numpy"],
-                     "nproc": env["nproc"], "machine": env["machine"]}
+                     "nproc": env["nproc"], "machine": env["machine"],
+                     "src_py_lines": src_py_lines(checkout)}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
