@@ -84,8 +84,7 @@ def discriminant(field: SquarefreeInt) -> int:
 # residue mod 8 gives (a, b), the parity of the exponent of 2 gives c.
 _TWO_ADIC_ODD = {1: (0, 0), 3: (1, 1), 5: (0, 1), 7: (1, 0)}
 
-# Q_2(sqrt(m)) is Q_2 itself for the trivial class, the unramified quadratic
-# extension for the class of 5, and ramified for the other six.
+# 2 splits for the trivial class, is inert for the class of 5 and ramifies for the other six.
 _TWO_ADIC_SPLITTING = {(0, 0, 0): SplittingType.SPLIT, (0, 1, 0): SplittingType.INERT}
 
 

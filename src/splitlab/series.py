@@ -181,8 +181,10 @@ def tower_sum(
     uncertified: list[int] = []
     contradiction: Optional[str] = None
     terms: list[float] = []
+    # with no stage fields, Q still lists the range's primes, so they are reported uncertified
+    fields = stages or [MultiquadField.rationals()]
     rows = [range_terms(field, rng.lo, rng.hi, residue_filter=residue_filter,
-                        sieve_ceiling=sieve_ceiling) for field in stages]
+                        sieve_ceiling=sieve_ceiling) for field in fields]
     for segment in zip(*rows):  # one row per stage, over the same primes
         p = segment[0][0]
         stage = np.array([cert_by_prime.get(q, -1) for q in p.tolist()], dtype=np.int64)

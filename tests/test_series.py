@@ -246,6 +246,8 @@ class TestTowerSum:
     def test_missing_certificate_raises(self):
         with pytest.raises(ValueError, match="unstabilized"):
             tower_sum([Q], PrimeRange(2, 10), [StabilizationCertificate(2, 0)])
+        with pytest.raises(ValueError, match=r"\(no certificate\): 2, 3, 5, 7$"):
+            tower_sum([], PrimeRange(2, 10), [])  # no stage field certifies anything
 
     def test_out_of_range_stage_rejected(self):
         with pytest.raises(ValueError, match="outside"):
