@@ -208,7 +208,7 @@ def tower_sum(
     if contradiction is not None:
         raise VerificationError(contradiction)
     return SeriesReport(
-        field_degree=stages[-1].degree,
+        field_degree=fields[-1].degree,
         prime_lo=rng.lo,
         prime_hi=rng.hi,
         partial_sum=math.fsum(terms),

@@ -16,9 +16,6 @@ from dataclasses import asdict
 from importlib import resources
 from typing import Any, Iterator, Optional
 
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
-
 from .constructions import (
     CONSTRUCT_QUADRATIC,
     PROP71_TOWER,
@@ -49,10 +46,27 @@ _STORED_SUM_REL = 2**-51
 # A construct-quadratic document's params: the SplittingSpec fields.
 _SPEC_PARAMS = ("split", "inert", "ramified", "two_behavior", "signature")
 
+# The JSON Schema keywords trace_schema.json uses, all that _shape_errors knows.
+_KEYWORDS = frozenset("$schema title $defs $ref type required properties additionalProperties"
+                      " items prefixItems minItems maxItems enum const minimum oneOf".split())
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "null": type(None), "number": (int, float), "integer": (int, float)}
+
 
 def load_schema() -> dict:
+    """trace_schema.json; raises if it uses a keyword _shape_errors does not know."""
     with resources.files("splitlab").joinpath("trace_schema.json").open("rb") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    pending = [schema]
+    while pending:
+        sub = pending.pop()
+        if isinstance(sub, dict):
+            if unknown := sub.keys() - _KEYWORDS:
+                raise ValueError(f"trace schema keywords {sorted(unknown)} are not supported")
+            pending += [*sub.get("properties", {}).values(), *sub.get("$defs", {}).values(),
+                        *sub.get("prefixItems", []), *sub.get("oneOf", []),
+                        sub.get("items", True), sub.get("additionalProperties", True)]
+    return schema
 
 
 def dumps_canonical(doc: Any) -> str:
@@ -71,8 +85,8 @@ def _factored_from_doc(doc: dict) -> SquarefreeInt:
     sign = 1
     primes = []
     for p, a in doc["factors"]:
-        if p == -1:
-            sign = -sign
+        if p == -1 and a == 1 and sign > 0:  # the sign: at most one entry, [-1, 1]
+            sign = -1
             continue
         if a != 1:
             raise VerificationError(f"factor {p}^{a} is not squarefree")
@@ -131,21 +145,56 @@ def quadratic_doc(spec: SplittingSpec, m: SquarefreeInt) -> dict:
     return {**doc, "m": m.value, "verified": True}
 
 
-@functools.lru_cache(maxsize=1)
-def _schema_validator():
-    """The trace schema's validator, checked against its metaschema once."""
-    schema = load_schema()
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+_schema = functools.lru_cache(maxsize=1)(load_schema)
+
+
+def _is_type(value: Any, name: str) -> bool:
+    """JSON Schema's types: a bool is not a number, and 1.0 is an integer."""
+    return (isinstance(value, _JSON_TYPES[name]) and (name == "boolean" or type(value) is not bool)
+            and (name != "integer" or isinstance(value, int) or value.is_integer()))
+
+
+def _shape_errors(schema: Any, value: Any, path: str) -> Iterator[str]:
+    """Each place, lazily, where `value` at JSON path `path` breaks `schema`,
+    a part of trace_schema.json whose $refs all name $defs entries."""
+    if schema is False:
+        yield f"{path} is not allowed"
+    if isinstance(schema, bool):
+        return
+    if "$ref" in schema:
+        target = _schema()["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+        yield from _shape_errors(target, value, path)
+    if "type" in schema and not _is_type(value, schema["type"]):
+        yield f"{path} is not of type {schema['type']!r}"
+    for allowed in (schema.get("enum"), [schema["const"]] if "const" in schema else None):
+        # JSON equality with the schema's scalars, where true is not 1
+        if allowed is not None and not any(
+                v == value and isinstance(v, bool) == isinstance(value, bool) for v in allowed):
+            yield f"{path} is not one of {allowed!r}"
+    if "minimum" in schema and _is_type(value, "number") and value < schema["minimum"]:
+        yield f"{path} is less than the minimum of {schema['minimum']!r}"
+    if "oneOf" in schema and (fits := sum(
+            next(_shape_errors(s, value, path), None) is None for s in schema["oneOf"])) != 1:
+        yield f"{path} fits {fits} of the oneOf schemas, not exactly one"
+    if isinstance(value, dict):
+        yield from (f"{path} lacks the required property {key!r}"
+                    for key in schema.get("required", ()) if key not in value)
+        for key, item in value.items():
+            sub = schema.get("properties", {}).get(key, schema.get("additionalProperties", True))
+            yield from _shape_errors(sub, item, f"{path}.{key}")
+    elif isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            yield f"{path} has {len(value)} items, outside the schema's bounds"
+        subs = schema.get("prefixItems", []) + [schema.get("items", True)] * len(value)
+        for i, (sub, item) in enumerate(zip(subs, value)):
+            yield from _shape_errors(sub, item, f"{path}[{i}]")
 
 
 def validate_schema(doc: Any) -> None:
-    # Same decision and message as jsonschema.validate, without re-checking
-    # the schema and rebuilding the validator on every call.
-    error = best_match(_schema_validator().iter_errors(doc))
+    """Raise ValueError naming the JSON path where `doc` first breaks the schema."""
+    error = next(_shape_errors(_schema(), doc, "$"), None)
     if error is not None:
-        raise ValueError(f"trace does not match the schema: {error.message}") from error
+        raise ValueError(f"trace does not match the schema: {error}")
 
 
 def trace_from_doc(

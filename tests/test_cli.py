@@ -139,9 +139,15 @@ class TestExitCodes:
              lambda doc: doc["stages"][0]["field_added"]["factors"].append(
                  doc["stages"][0]["field_added"]["factors"][0]),
              "strictly increasing"),
+            (["construct-quadratic", "--split", "5", "--inert", "3"],
+             lambda doc: doc["stages"][0]["field_added"]["factors"].extend([[-1, 1], [-1, 1]]),
+             "claimed factor -1 is not prime"),
+            (["construct-quadratic", "--split", "5", "--inert", "3"],
+             lambda doc: doc["stages"][0]["field_added"]["factors"].append([-1, 2]),
+             "factor -1^2 is not squarefree"),
         ],
         ids=["field-added-one", "split-four", "split-missing", "split-not-a-list",
-             "factor-twice"],
+             "factor-twice", "sign-twice", "sign-squared"],
     )
     def test_rejected_document_values_are_three(self, capsys, tmp_path, check, build, edit,
                                                  issue):

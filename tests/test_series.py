@@ -249,6 +249,10 @@ class TestTowerSum:
         with pytest.raises(ValueError, match=r"\(no certificate\): 2, 3, 5, 7$"):
             tower_sum([], PrimeRange(2, 10), [])  # no stage field certifies anything
 
+    def test_no_stages_and_no_primes_is_q(self):
+        report = tower_sum([], PrimeRange(24, 28), [])
+        assert (report.field_degree, report.partial_sum) == (1, 0.0)
+
     def test_out_of_range_stage_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             tower_sum([Q], PrimeRange(2, 2), [StabilizationCertificate(2, 1)])

@@ -3,9 +3,14 @@ import copy
 import io
 import json
 import math
+import subprocess
+import sys
+import types
 
 import pytest
+from jsonschema.validators import validator_for
 
+from splitlab import traceio
 from splitlab.cli import run as cli_run
 from splitlab.constructions import (
     SplittingSpec,
@@ -22,6 +27,7 @@ from splitlab.traceio import (
     quadratic_doc,
     trace_from_doc,
     trace_to_doc,
+    load_schema,
     validate_schema,
     verify_trace_doc,
 )
@@ -71,6 +77,58 @@ def quad_doc():
     return quadratic_doc(spec, construct_prescribed_quadratic(spec))
 
 
+# What the shape-check corpus writes at each path: JSON Schema's edge cases
+# of number, integer, bool and null, and a value of each other type.
+MUTANT_VALUES = [math.nan, math.inf, -math.inf, 10**400, -(10**400), True, False, None,
+                 0, -1, 1, 1.0, 2.5, "", "1", [], {}]
+
+
+def _trimmed(node, keep=3):
+    """node with every list cut to its first `keep` items."""
+    if isinstance(node, dict):
+        return {key: _trimmed(child, keep) for key, child in node.items()}
+    if isinstance(node, list):
+        return [_trimmed(child, keep) for child in node[:keep]]
+    return node
+
+
+def _paths(node, path=()):
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _edited(node, path, edit):
+    """node with edit(container, key) applied at path; only the containers on
+    the path are copied."""
+    node = copy.copy(node)
+    if len(path) == 1:
+        edit(node, path[0])
+    else:
+        node[path[0]] = _edited(node[path[0]], path[1:], edit)
+    return node
+
+
+def _duplicate(container, key):
+    if isinstance(container, list):
+        container.insert(key, container[key])
+    else:
+        container[f"{key}2"] = container[key]
+
+
+def _mutants(doc):
+    """doc, and doc with each path deleted, duplicated or set to each MUTANT_VALUE."""
+    yield doc
+    yield from MUTANT_VALUES
+    for path in list(_paths(doc))[1:]:
+        yield _edited(doc, path, lambda container, key: container.pop(key))
+        yield _edited(doc, path, _duplicate)
+        for value in MUTANT_VALUES:
+            yield _edited(doc, path, lambda container, key: container.__setitem__(key, value))
+
+
 class TestSchema:
     def test_documents_validate(self, thm12_doc, prop71_doc, quad_doc):
         for doc in (thm12_doc, prop71_doc, quad_doc):
@@ -79,20 +137,63 @@ class TestSchema:
     def test_missing_field_rejected(self, thm12_doc):
         broken = copy.deepcopy(thm12_doc)
         del broken["stages"]
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ValueError, match=r"schema: \$ lacks the required property 'stages'"):
             validate_schema(broken)
 
     def test_bad_version_rejected(self, thm12_doc):
         broken = copy.deepcopy(thm12_doc)
         broken["version"] = 2
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ValueError, match=r"schema: \$\.version is not one of \[1\]"):
             validate_schema(broken)
 
     def test_unknown_construction_rejected(self, thm12_doc):
         broken = copy.deepcopy(thm12_doc)
         broken["construction"] = "mystery"
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ValueError, match=r"schema: \$\.construction is not one of"):
             validate_schema(broken)
+
+    def test_error_names_the_json_path(self, prop71_doc):
+        broken = copy.deepcopy(prop71_doc)
+        broken["stages"][1]["field_added"]["factors"][0][1] = 1.5
+        with pytest.raises(ValueError, match=r"\$\.stages\[1\]\.field_added\.factors\[0\]\[1\] "
+                                             r"is not of type 'integer'$"):
+            validate_schema(broken)
+
+    def test_agrees_with_jsonschema(self, thm12_doc, prop71_doc, quad_doc):
+        # jsonschema is the oracle: the same accept/reject decision on every
+        # document of the corpus.  One `items` subschema checks every item of
+        # a list, so lists are cut to three items (block_primes has 238 in
+        # thm12_doc): the corpus then costs jsonschema ~3 s, not ~20 s.
+        schema = load_schema()
+        oracle = validator_for(schema)(schema)
+        count = 0
+        for doc in map(_trimmed, (thm12_doc, prop71_doc, quad_doc)):
+            for mutant in _mutants(doc):
+                try:
+                    validate_schema(mutant)
+                except ValueError:
+                    accepted = False
+                else:
+                    accepted = True
+                assert accepted == oracle.is_valid(mutant), mutant
+                count += 1
+        assert count > 4000
+
+    def test_unsupported_keyword_raises_on_load(self, monkeypatch, tmp_path):
+        schema = load_schema()
+        schema["$defs"]["inequality"]["properties"]["name"]["pattern"] = "^[a-z]+$"
+        (tmp_path / "trace_schema.json").write_text(json.dumps(schema))
+        monkeypatch.setattr(traceio, "resources",
+                            types.SimpleNamespace(files=lambda package: tmp_path))
+        with pytest.raises(ValueError, match=r"keywords \['pattern'\] are not supported"):
+            load_schema()
+
+    def test_cli_import_loads_no_jsonschema(self):
+        probe = ("import sys, splitlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0]"
+                 " in {'jsonschema', 'referencing', 'rpds', 'jsonschema_specifications'}))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestRoundTrip:

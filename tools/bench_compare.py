@@ -67,6 +67,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=["scan", "towers", "prescribe"])
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("--seeds needs at least two seeds to give quartiles")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     command = (f"python3 tools/bench_compare.py PARENT CHANGE --out {args.out.name}"
