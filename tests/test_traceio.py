@@ -24,10 +24,10 @@ from splitlab.primes import iter_primes
 from splitlab.series import series_term
 from splitlab.traceio import (
     dumps_canonical,
+    load_schema,
     quadratic_doc,
     trace_from_doc,
     trace_to_doc,
-    load_schema,
     validate_schema,
     verify_trace_doc,
 )
