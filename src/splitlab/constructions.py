@@ -6,9 +6,10 @@ splitting series grows without bound while adjoining i caps it), the
 split-prime tower (every stage's prime splits everything below it, with
 discriminant-norm growth certificates), and reciprocity companion searches.
 
-Tower builders record each check as a certificate (holds = false marks the
-trace unaccepted) for the verifier to re-derive.  Only the prescription check
-raises: a quadratic field that misses its prescription is a VerificationError.
+Each tower has one stage rule, a function listing every way a stage breaks
+it.  The builders raise VerificationError on any problem it finds, as on a
+quadratic field that misses its prescription, and traceio's verifier reports
+the same texts as issues.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -176,14 +177,6 @@ def prescription_problems(m: SquarefreeInt, spec: SplittingSpec) -> list[str]:
 
 
 @dataclass(frozen=True)
-class CertifiedInequality:
-    name: str
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-@dataclass(frozen=True)
 class WidmerTerm:
     """Discriminant-norm growth certificate for one tower step.
 
@@ -213,7 +206,6 @@ class StageRecord:
     auxiliary_primes: tuple[int, ...]
     field_added: SquarefreeInt
     cumulative_field: MultiquadField
-    certified_inequalities: tuple[CertifiedInequality, ...]
     block_primes: tuple[int, ...]
     block_sum: float
     widmer: Optional[WidmerTerm] = None
@@ -221,15 +213,13 @@ class StageRecord:
 
 @dataclass
 class ConstructionTrace:
+    """A construction's stages.  It comes from a builder, which raises on any
+    stage that breaks its rule, or from traceio.trace_from_doc, which verifies
+    the document first."""
+
     construction: str
     params: dict
     stages: tuple[StageRecord, ...]
-    certificates: tuple[CertifiedInequality, ...]
-
-    @property
-    def accepted(self) -> bool:
-        stage_ok = all(c.holds for s in self.stages for c in s.certified_inequalities)
-        return stage_ok and all(c.holds for c in self.certificates)
 
     def stage_fields(self) -> list[MultiquadField]:
         """[Q, L_1, ..., L_K]: the cumulative fields with the base field first."""
@@ -317,6 +307,24 @@ def _smallest_split_aux_prime(
 # ---------------------------------------------------------------------------
 
 
+def divergence_stage_problems(
+    previous: MultiquadField, added: SquarefreeInt, aux: Sequence[int]
+) -> list[str]:
+    """Every way a divergence stage adding Q(sqrt(added)) to `previous` breaks
+    the tower's rule, one message each; its prescription is checked apart."""
+    problems = []
+    if not linearly_disjoint(previous, MultiquadField.from_generators([added])):
+        problems.append("new field is not linearly disjoint")
+    for q in aux:
+        if splitting_type(added, q) is not SplittingType.INERT:
+            problems.append(f"auxiliary prime {q} is not inert above")
+        if not totally_split(previous, q):
+            problems.append(f"auxiliary prime {q} does not split below")
+    if not is_totally_real(previous.adjoin(added)):
+        problems.append("compositum is not totally real")
+    return problems
+
+
 def build_divergence_tower(
     num_stages: int,
     sum_target_per_block: float = 1.0,
@@ -371,30 +379,10 @@ def build_divergence_tower(
                 f"stage {k} (n={n_k}, {len(spec.split) + len(spec.inert)} prescribed "
                 f"primes): {exc}"
             ) from exc
-        added = MultiquadField.from_generators([m_new])
+        problems = divergence_stage_problems(current, m_new, [aux])
+        if problems:
+            raise VerificationError(f"stage {k}: " + "; ".join(problems))
         grown = current.adjoin(m_new)
-
-        disjoint = linearly_disjoint(current, added)
-        # construct_prescribed_quadratic raised if any prescribed prime missed
-        want_total = float(len(spec.split) + len(spec.inert))
-        aux_witness = (
-            splitting_type(m_new, aux) is SplittingType.INERT
-            and totally_split(current, aux)
-        )
-        certs = (
-            CertifiedInequality("(a) linearly disjoint from the previous compositum",
-                                float(grown.degree), float(2 * current.degree),
-                                disjoint and grown.degree == 2 * current.degree),
-            CertifiedInequality("(b) prescribed splitting verified at every prime <= n",
-                                want_total, want_total, True),
-            CertifiedInequality("(c) block sum reaches the target",
-                                block_sum, sum_target_per_block, block_sum >= sum_target_per_block),
-            CertifiedInequality("auxiliary prime inert above, totally split below",
-                                1.0 if aux_witness else 0.0, 1.0, aux_witness),
-            CertifiedInequality("compositum stays totally real",
-                                1.0 if is_totally_real(grown) else 0.0, 1.0,
-                                is_totally_real(grown)),
-        )
         stages.append(
             StageRecord(
                 index=k,
@@ -402,23 +390,12 @@ def build_divergence_tower(
                 auxiliary_primes=(aux,),
                 field_added=m_new,
                 cumulative_field=grown,
-                certified_inequalities=certs,
                 block_primes=tuple(block),
                 block_sum=block_sum,
             )
         )
         current, n_prev = grown, n_k
-
-    total = math.fsum(s.block_sum for s in stages)
-    global_certs = (
-        CertifiedInequality(
-            "total certified block sum",
-            total,
-            num_stages * sum_target_per_block,
-            total >= num_stages * sum_target_per_block,
-        ),
-    )
-    return ConstructionTrace(THM12_TOWER, params, tuple(stages), global_certs)
+    return ConstructionTrace(THM12_TOWER, params, tuple(stages))
 
 
 def certify_adjoin_i_convergence(
@@ -438,8 +415,6 @@ def certify_adjoin_i_convergence(
     """
     if trace.construction != THM12_TOWER:
         raise ValueError(f"expected a {THM12_TOWER} trace, got {trace.construction}")
-    if not trace.accepted:
-        raise ValueError("trace has failed certificates; refusing to certify")
     if prime_ceiling < 2:
         raise ValueError("prime_ceiling must be >= 2")
     top = trace.stages[-1].cumulative_field
@@ -463,6 +438,21 @@ def certify_adjoin_i_convergence(
 # ---------------------------------------------------------------------------
 # The split-prime tower
 # ---------------------------------------------------------------------------
+
+
+def split_prime_stage_problems(added: SquarefreeInt, n: int, p_prev: int) -> list[str]:
+    """Every way a split-prime stage with generator `added`, threshold n and
+    previous stage prime p_prev breaks the tower's rule, one message each;
+    its prescription is checked apart."""
+    p = added.value
+    problems = []
+    if added.atoms != {p}:
+        problems.append(f"field_added {p} is not one positive prime")
+    if p % 4 != 1:
+        problems.append(f"prime {p} is not 1 mod 4")
+    if p <= max(n, p_prev):
+        problems.append("prime does not exceed max(n, previous prime)")
+    return problems
 
 
 def build_split_prime_tower(
@@ -510,28 +500,16 @@ def build_split_prime_tower(
         modulus = 4 * math.prod(small)
         p_i = find_prime_in_ap(1, modulus, max(n_i, p_prev), budget=ap_budget)
         added = SquarefreeInt.from_prime_factors(1, [p_i])
-
-        split_ok = len(small) - len(prescription_problems(added, split_prime_spec(small)))
+        problems = (split_prime_stage_problems(added, n_i, p_prev)
+                    + prescription_problems(added, split_prime_spec(small)))
+        if problems:
+            raise VerificationError(f"stage {i}: " + "; ".join(problems))
         grown = current.adjoin(added)
         widmer = WidmerTerm(
             stage=i,
             norm_base=p_i,
             norm_exponent=1 << (i - 1),
             log_quantity=math.log(p_i) / 4.0,
-        )
-        certs = (
-            CertifiedInequality("block sum reaches the target",
-                                block_sum, sum_target_per_block, block_sum >= sum_target_per_block),
-            CertifiedInequality("every prime up to n splits totally in the new field",
-                                float(split_ok), float(len(small)), split_ok == len(small)),
-            CertifiedInequality("stage prime is 1 mod 4",
-                                float(p_i % 4), 1.0, p_i % 4 == 1),
-            CertifiedInequality("stage prime strictly exceeds n and the previous prime",
-                                1.0 if p_i > max(n_i, p_prev) else 0.0, 1.0,
-                                p_i > max(n_i, p_prev)),
-            CertifiedInequality("degree doubles",
-                                float(grown.degree), float(2 * current.degree),
-                                grown.degree == 2 * current.degree),
         )
         stages.append(
             StageRecord(
@@ -540,21 +518,13 @@ def build_split_prime_tower(
                 auxiliary_primes=(),
                 field_added=added,
                 cumulative_field=grown,
-                certified_inequalities=certs,
                 block_primes=tuple(block),
                 block_sum=block_sum,
                 widmer=widmer,
             )
         )
         current, n_prev, p_prev = grown, n_i, p_i
-
-    logs = [s.widmer.log_quantity for s in stages]
-    increasing = all(a < b for a, b in zip(logs, logs[1:]))
-    global_certs = (
-        CertifiedInequality("discriminant-norm quantities strictly increase",
-                            1.0 if increasing else 0.0, 1.0, increasing),
-    )
-    return ConstructionTrace(PROP71_TOWER, params, tuple(stages), global_certs)
+    return ConstructionTrace(PROP71_TOWER, params, tuple(stages))
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ from typing import Iterator
 import numpy as np
 
 from .multiquadratic import MultiquadField, local_data
-from .primes import DEFAULT_SIEVE_CEILING, kronecker, prime_segments
+from .primes import DEFAULT_SIEVE_CEILING, prime_segments
 
-# Atoms below this get a lookup table of 4|a| entries, built with one
-# kronecker call per entry.  Larger ones pay the Euler criterion, a few dozen
-# int64 passes over every prime it is asked about against one table lookup,
-# which is why generators made only of tabled atoms go first.
+# Atoms below this get a lookup table of 4|a| entries.  Larger ones pay the
+# Euler criterion, a few dozen int64 passes over every prime it is asked about
+# against one table lookup, which is why generators made only of tabled atoms
+# go first.
 _TABLE_BELOW = 1 << 12
 
 # Euler's criterion squares residues below p in int64: exact while
@@ -42,10 +42,18 @@ _LIMB_BITS = 31
 
 @functools.lru_cache(maxsize=64)  # at most 1 MB; tower builds re-scan the same atoms
 def _jacobi_table(a: int) -> np.ndarray:
-    """(a | r) for r in [0, 4|a|); zero at even r, which no odd prime hits."""
-    table = np.array(
-        [kronecker(a, r) if r % 2 else 0 for r in range(4 * abs(a))], dtype=np.int8
-    )
+    """(a | r) for r in [0, 4|a|) and an atom a: -1, 2 or an odd prime q.  Zero
+    at even r, which no odd prime hits.  For q, reciprocity gives (r | q),
+    negated when q = r = 3 (mod 4)."""
+    r = np.arange(4 * abs(a))
+    if a in (-1, 2):  # (-1 | r) and (2 | r) depend on r mod 8 only
+        symbol = np.where(np.isin(r % 8, (1, 5) if a == -1 else (1, 7)), 1, -1)
+    else:
+        legendre = np.full(a, -1)
+        legendre[r[:a] ** 2 % a] = 1
+        legendre[0] = 0
+        symbol = legendre[r % a] * np.where((a % 4 == 3) & (r % 4 == 3), -1, 1)
+    table = np.where(r % 2, symbol, 0).astype(np.int8)
     table.flags.writeable = False
     return table
 

@@ -2,9 +2,11 @@
 
 The wire format is pinned by trace_schema.json next to this module.  Output is
 canonical (sorted keys, two-space indent, trailing newline) so identical runs
-are byte-identical.  verify_trace_doc() re-derives every certified inequality
-from scratch, and trace_from_doc() rebuilds objects only from a document it
-accepts; trace_to_doc() alone gives a document its shape.
+are byte-identical.  verify_trace_doc() re-derives every stage check from
+scratch with the builders' own stage rules, and trace_from_doc() rebuilds
+objects only from a document it accepts; trace_to_doc() alone gives a document
+its shape.  Documents store no verdicts: the flag lists stay empty, and a
+false flag in an older document is still reported.
 """
 
 from __future__ import annotations
@@ -20,20 +22,21 @@ from .constructions import (
     CONSTRUCT_QUADRATIC,
     PROP71_TOWER,
     THM12_TOWER,
-    CertifiedInequality,
     ConstructionTrace,
     SplittingSpec,
     StageRecord,
     WidmerTerm,
     divergence_prescription,
+    divergence_stage_problems,
     prescription_problems,
     split_prime_spec,
+    split_prime_stage_problems,
     valid_sum_target,
 )
 from .errors import VerificationError
-from .multiquadratic import MultiquadField, linearly_disjoint, totally_split
+from .multiquadratic import MultiquadField
 from .primes import DEFAULT_SIEVE_CEILING, is_prime, iter_primes
-from .quadratic import SplittingType, SquarefreeInt, splitting_type
+from .quadratic import SquarefreeInt
 from .series import range_terms
 
 TRACE_VERSION = 1
@@ -111,7 +114,7 @@ def _stage_to_doc(s: StageRecord) -> dict:
         "auxiliary_primes": list(s.auxiliary_primes),
         "field_added": _factored_to_doc(s.field_added),
         "cumulative_field": [_factored_to_doc(b) for b in s.cumulative_field.basis],
-        "certified_inequalities": [asdict(c) for c in s.certified_inequalities],
+        "certified_inequalities": [],
         "block_primes": list(s.block_primes),
         "block_sum": s.block_sum,
         "widmer": None if s.widmer is None else asdict(s.widmer),
@@ -124,7 +127,7 @@ def trace_to_doc(trace: ConstructionTrace) -> dict:
         "version": TRACE_VERSION,
         "params": dict(trace.params),
         "stages": [_stage_to_doc(s) for s in trace.stages],
-        "certificates": [asdict(c) for c in trace.certificates],
+        "certificates": [],
     }
 
 
@@ -138,10 +141,9 @@ def quadratic_doc(spec: SplittingSpec, m: SquarefreeInt) -> dict:
     params.update((key, sorted(params[key])) for key in ("split", "inert", "ramified"))
     stage = StageRecord(
         index=1, n=0, auxiliary_primes=(), field_added=m,
-        cumulative_field=MultiquadField.from_generators([m]),
-        certified_inequalities=(), block_primes=(), block_sum=0.0,
+        cumulative_field=MultiquadField.from_generators([m]), block_primes=(), block_sum=0.0,
     )
-    doc = trace_to_doc(ConstructionTrace(CONSTRUCT_QUADRATIC, params, (stage,), ()))
+    doc = trace_to_doc(ConstructionTrace(CONSTRUCT_QUADRATIC, params, (stage,)))
     return {**doc, "m": m.value, "verified": True}
 
 
@@ -216,20 +218,12 @@ def trace_from_doc(
                 auxiliary_primes=tuple(s["auxiliary_primes"]),
                 field_added=added,
                 cumulative_field=field,
-                certified_inequalities=tuple(
-                    CertifiedInequality(**c) for c in s["certified_inequalities"]
-                ),
                 block_primes=tuple(s["block_primes"]),
                 block_sum=s["block_sum"],
                 widmer=None if s.get("widmer") is None else WidmerTerm(**s["widmer"]),
             )
         )
-    return ConstructionTrace(
-        construction=doc["construction"],
-        params=dict(doc["params"]),
-        stages=tuple(stages),
-        certificates=tuple(CertifiedInequality(**c) for c in doc["certificates"]),
-    )
+    return ConstructionTrace(doc["construction"], dict(doc["params"]), tuple(stages))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +232,7 @@ def trace_from_doc(
 
 
 def _check_block(
-    issues: list[str], stage: dict, field: MultiquadField, lo: int, last: int,
+    issues: list[str], k: int, stage: dict, field: MultiquadField, lo: int, last: int,
     residue_filter: Optional[tuple[int, int]], span: str, target: float, sieve_ceiling: int,
 ) -> float:
     """Check a stage's block against the primes of `span`, re-summed on `field`.
@@ -256,7 +250,7 @@ def _check_block(
     ):
         block += p.tolist()
         terms += seg_terms.tolist()
-    k, stored = stage["index"], stage["block_sum"]
+    stored = stage["block_sum"]
     if block != list(stage["block_primes"]):
         issues.append(f"stage {k}: block primes differ from the range {span}")
     total, before_last = math.fsum(terms), math.fsum(terms[:-1])
@@ -276,48 +270,47 @@ def _check_block(
 
 def _tower_stages(
     doc: dict, issues: list[str], proved: list[SquarefreeInt]
-) -> Iterator[tuple[int, dict, SquarefreeInt]]:
-    """(index, stage, proved field_added) per stage; a stage whose field_added
-    fails its factorization is reported and skipped."""
-    for stage in doc["stages"]:
+) -> Iterator[tuple[int, dict, MultiquadField, SquarefreeInt]]:
+    """(position, stage, previous field, proved field_added) per stage.
+
+    An index other than the position, and a stored cumulative field other
+    than the recomputed one, are reported; a stage whose field_added fails
+    its factorization is reported and skipped.
+    """
+    previous = MultiquadField.rationals()
+    for k, stage in enumerate(doc["stages"], 1):
+        if stage["index"] != k:
+            issues.append(f"stage {k}: index {stage['index']} is not the stage's position")
         try:
             added = _factored_from_doc(stage["field_added"])
         except VerificationError as exc:
-            issues.append(f"stage {stage['index']}: {exc}")
+            issues.append(f"stage {k}: {exc}")
             continue
         proved.append(added)
-        yield stage["index"], stage, added
+        yield k, stage, previous, added
+        previous = previous.adjoin(added)
+        if [b.value for b in previous.basis] != [b["value"] for b in stage["cumulative_field"]]:
+            issues.append(f"stage {k}: cumulative field does not match the recomputation")
 
 
 def _verify_thm12(
     doc: dict, target: float, sieve_ceiling: int, proved: list[SquarefreeInt]
 ) -> list[str]:
     issues: list[str] = []
-    previous = MultiquadField.rationals()
     n_prev = 1
     sums: list[float] = []
-    for k, stage, added in _tower_stages(doc, issues, proved):
+    for k, stage, previous, added in _tower_stages(doc, issues, proved):
         n_k = stage["n"]
-        sums.append(_check_block(issues, stage, previous, n_prev, n_k - 1, (3, 4),
+        sums.append(_check_block(issues, k, stage, previous, n_prev, n_k - 1, (3, 4),
                                  f"[{n_prev}, {n_k})", target, sieve_ceiling))
-        if not linearly_disjoint(previous, MultiquadField.from_generators([added])):
-            issues.append(f"stage {k}: new field is not linearly disjoint")
+        problems = divergence_stage_problems(previous, added, stage["auxiliary_primes"])
         split, inert = divergence_prescription(n_k, sieve_ceiling=sieve_ceiling)
         if split or inert:
-            spec = SplittingSpec(split=split, inert=inert)
-            issues += [f"stage {k}: {msg}" for msg in prescription_problems(added, spec)]
-        for q in stage["auxiliary_primes"]:
-            if splitting_type(added, q) is not SplittingType.INERT:
-                issues.append(f"stage {k}: auxiliary prime {q} is not inert above")
-            if not totally_split(previous, q):
-                issues.append(f"stage {k}: auxiliary prime {q} does not split below")
-        grown = previous.adjoin(added)
-        stored_basis = [b["value"] for b in stage["cumulative_field"]]
-        if [b.value for b in grown.basis] != stored_basis:
-            issues.append(f"stage {k}: cumulative field does not match the recomputation")
-        if any(b.value < 0 for b in grown.basis):
-            issues.append(f"stage {k}: compositum is not totally real")
-        previous, n_prev = grown, n_k
+            problems += prescription_problems(added, SplittingSpec(split=split, inert=inert))
+        if stage.get("widmer") is not None:
+            problems.append("a divergence stage carries a discriminant-norm record")
+        issues += [f"stage {k}: {msg}" for msg in problems]
+        n_prev = n_k
     # Each recomputed block sum is at least the target, and fsum and float
     # multiplication both round correctly and monotonically, so an honest
     # document meets this bound exactly, with no tolerance.
@@ -331,27 +324,23 @@ def _verify_prop71(
     doc: dict, target: float, sieve_ceiling: int, proved: list[SquarefreeInt]
 ) -> list[str]:
     issues: list[str] = []
-    previous = MultiquadField.rationals()
     n_prev = 1
     p_prev = 0
     last_log = -math.inf
-    for i, stage, added in _tower_stages(doc, issues, proved):
+    for i, stage, previous, added in _tower_stages(doc, issues, proved):
         p_i = added.value
         n_i = stage["n"]
-        _check_block(issues, stage, previous, n_prev + 1, n_i, None,
+        _check_block(issues, i, stage, previous, n_prev + 1, n_i, None,
                      f"({n_prev}, {n_i}]", target, sieve_ceiling)
-        if added.atoms != {p_i}:
-            issues.append(f"stage {i}: field_added {p_i} is not one positive prime")
-        if p_i % 4 != 1:
-            issues.append(f"stage {i}: prime {p_i} is not 1 mod 4")
-        if p_i <= max(n_i, p_prev):
-            issues.append(f"stage {i}: prime does not exceed max(n, previous prime)")
         spec = split_prime_spec(list(iter_primes(2, n_i, ceiling=sieve_ceiling)))
-        issues += [f"stage {i}: {msg}" for msg in prescription_problems(added, spec)]
+        problems = split_prime_stage_problems(added, n_i, p_prev)
+        issues += [f"stage {i}: {msg}" for msg in problems + prescription_problems(added, spec)]
         w = stage.get("widmer")
         if w is None:
             issues.append(f"stage {i}: missing discriminant-norm record")
         else:
+            if w["stage"] != i:
+                issues.append(f"stage {i}: discriminant-norm record names stage {w['stage']}")
             if w["norm_base"] != p_i or w["norm_exponent"] != 1 << (i - 1):
                 issues.append(f"stage {i}: discriminant-norm power mismatch")
             expect = math.log(p_i) / 4.0
@@ -360,10 +349,6 @@ def _verify_prop71(
             if not w["log_quantity"] > last_log:
                 issues.append(f"stage {i}: discriminant-norm quantity fails to increase")
             last_log = w["log_quantity"]
-        previous = previous.adjoin(added)
-        stored_basis = [b["value"] for b in stage["cumulative_field"]]
-        if [b.value for b in previous.basis] != stored_basis:
-            issues.append(f"stage {i}: cumulative field does not match the recomputation")
         n_prev, p_prev = n_i, p_i
     return issues
 
@@ -396,7 +381,8 @@ def _verify_quadratic(doc: dict, proved: list[SquarefreeInt]) -> list[str]:
     proved.append(m)
     if m.value != doc.get("m", m.value):
         return [f"stage field {m.value} disagrees with top-level m={doc['m']}"]
-    if [[b["value"] for b in s["cumulative_field"]] for s in doc["stages"]] != [[m.value]]:
+    if [(s["index"], [b["value"] for b in s["cumulative_field"]])
+            for s in doc["stages"]] != [(1, [m.value])]:
         return ["the stages are not the one field Q(sqrt(m))"]
     return prescription_problems(m, spec)
 
@@ -405,8 +391,9 @@ def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], list[SquarefreeIn
     """The verifier's walk: the issues found, and each stage's proved field_added."""
     validate_schema(doc)
     issues: list[str] = []
+    # Older documents stored verdict flags; one that reads false is still an issue.
     for where, certs in [("trace", doc["certificates"])] + [
-        (f"stage {s['index']}", s["certified_inequalities"]) for s in doc["stages"]
+        (f"stage {k}", s["certified_inequalities"]) for k, s in enumerate(doc["stages"], 1)
     ]:
         for c in certs:
             if not c["holds"]:

@@ -20,11 +20,13 @@ from splitlab.constructions import (
     construct_prescribed_quadratic,
     search_inert_companion,
 )
-from splitlab.errors import ResourceBudgetError
+from splitlab import cli, constructions
+from splitlab.errors import ResourceBudgetError, VerificationError
 from splitlab.multiquadratic import MultiquadField, linearly_disjoint, totally_split
 from splitlab.primes import PrimeRange, find_prime_in_ap, iter_primes, kronecker
 from splitlab.quadratic import SplittingType, SquarefreeInt, splitting_type
 from splitlab.series import series_term, tower_sum
+from splitlab.traceio import trace_to_doc, verify_trace_doc
 
 
 @pytest.fixture(scope="module")
@@ -124,10 +126,7 @@ class TestDivergenceTower:
         assert [s.n for s in thm12_two_stage.stages] == [32, 3408]
 
     def test_trace_accepted(self, thm12_two_stage):
-        assert thm12_two_stage.accepted
-        for stage in thm12_two_stage.stages:
-            for cert in stage.certified_inequalities:
-                assert cert.holds, cert
+        assert verify_trace_doc(trace_to_doc(thm12_two_stage)) == []
 
     def test_stage_conditions_recheck(self, thm12_two_stage):
         previous = MultiquadField.rationals()
@@ -191,9 +190,7 @@ class TestDivergenceTower:
         assert tight.total_upper_bound <= loose.total_upper_bound
 
     def test_determinism(self, thm12_two_stage):
-        again = build_divergence_tower(2)
-        assert again.stages == thm12_two_stage.stages
-        assert again.certificates == thm12_two_stage.certificates
+        assert build_divergence_tower(2) == thm12_two_stage
 
     def test_invalid_stage_counts(self):
         with pytest.raises(ValueError):
@@ -265,7 +262,7 @@ class TestSplitPrimeTower:
         assert stage1.field_added.value == candidate
 
     def test_trace_accepted(self, prop71_two_stage):
-        assert prop71_two_stage.accepted
+        assert verify_trace_doc(trace_to_doc(prop71_two_stage)) == []
 
     def test_total_splitting_certificates(self, prop71_two_stage):
         for stage in prop71_two_stage.stages:
@@ -370,3 +367,39 @@ class TestInertCompanion:
             search_inert_companion(3, 0, "inert")
         with pytest.raises(ValueError):
             search_inert_companion(3, 2, "ramified")
+
+
+class TestStageRules:
+    """The builders raise on a stage that breaks its tower's rule."""
+
+    def test_divergence_aux_prime_inert_below_raises(self, monkeypatch, capsys):
+        # At target 0.4 stage 2 has n = 84; its auxiliary prime is replaced by
+        # one = 1 (mod 4) above 84 that is inert in the stage-1 field.
+        real = constructions._smallest_split_aux_prime
+        chosen = []
+
+        def inert_below(field, *, sieve_ceiling):
+            if field.degree == 1:
+                return real(field, sieve_ceiling=sieve_ceiling)
+            chosen.append(next(q for q in iter_primes(85, 10**4)
+                               if q % 4 == 1 and not totally_split(field, q)))
+            return chosen[-1]
+
+        monkeypatch.setattr(constructions, "_smallest_split_aux_prime", inert_below)
+        with pytest.raises(VerificationError) as excinfo:
+            build_divergence_tower(2, 0.4)
+        assert str(excinfo.value) == f"stage 2: auxiliary prime {chosen[-1]} does not split below"
+        assert cli.run(["thm12-tower", "--stages", "2", "--sum-target", "0.4"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "does not split below" in err
+
+    def test_split_prime_generator_breaking_the_rule_raises(self, monkeypatch):
+        # 7 at stage 1 (n = 7): not 1 mod 4, not above n, and 5, 7 and 2 do not split
+        monkeypatch.setattr(constructions, "find_prime_in_ap", lambda *args, **kwargs: 7)
+        with pytest.raises(VerificationError) as excinfo:
+            build_split_prime_tower(1)
+        assert str(excinfo.value) == (
+            "stage 1: prime 7 is not 1 mod 4; prime does not exceed max(n, previous prime); "
+            "p=5: wanted split, got inert; p=7: wanted split, got ramified; "
+            "p=2: wanted split, got ramified"
+        )

@@ -1,4 +1,4 @@
-"""Every demo but the divergence tower (05, ~40 s) runs to completion."""
+"""Every demo but the divergence tower (05, ~33 s) runs to completion."""
 
 import os
 import subprocess

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from splitlab import scan as scan_module
 from splitlab.multiquadratic import MultiquadField, local_data, totally_split
-from splitlab.primes import _SEGMENT, PrimeRange, iter_primes
+from splitlab.primes import _SEGMENT, PrimeRange, iter_primes, kronecker
 from splitlab.quadratic import SquarefreeInt
 from splitlab.scan import _INT64_EXACT_BELOW, _TABLE_BELOW, scan
 from splitlab.series import partial_sum, series_term
@@ -157,7 +157,17 @@ def test_euler_criterion_skips_inert_primes(monkeypatch):
 
 def test_jacobi_tables_are_shared_read_only():
     # Tables are cached across scans, so no caller may write into one.
-    table = scan_module._jacobi_table(-7)
-    assert scan_module._jacobi_table(-7) is table
+    table = scan_module._jacobi_table(7)
+    assert scan_module._jacobi_table(7) is table
     with pytest.raises(ValueError):
         table[1] = 0
+
+
+def test_jacobi_tables_equal_kronecker():
+    # Every atom with a table: -1 and each prime below _TABLE_BELOW.
+    atoms = [-1, *iter_primes(2, _TABLE_BELOW - 1)]
+    assert len(atoms) == 565
+    for a in atoms:
+        table = scan_module._jacobi_table.__wrapped__(a)
+        assert len(table) == 4 * abs(a) and not table[::2].any()
+        assert table[1::2].tolist() == [kronecker(a, r) for r in range(1, len(table), 2)], a

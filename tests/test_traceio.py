@@ -41,6 +41,41 @@ EXTENSIBLE_THM12 = (2, 0.7)
 # tower: 1 ulp above the math.fsum value stored now.
 KAHAN_ERA_STAGE_2_SUM = 0.7042878484305749
 
+# The always-true verdict flags that earlier versions stored in tower
+# documents: (names per stage, names of the trace-level flags).
+STORED_FLAG_NAMES = {
+    "thm12-tower": (
+        ["(a) linearly disjoint from the previous compositum",
+         "(b) prescribed splitting verified at every prime <= n",
+         "(c) block sum reaches the target",
+         "auxiliary prime inert above, totally split below",
+         "compositum stays totally real"],
+        ["total certified block sum"],
+    ),
+    "prop71-tower": (
+        ["block sum reaches the target",
+         "every prime up to n splits totally in the new field",
+         "stage prime is 1 mod 4",
+         "stage prime strictly exceeds n and the previous prime",
+         "degree doubles"],
+        ["discriminant-norm quantities strictly increase"],
+    ),
+}
+
+
+def _flag(name, holds=True):
+    return {"name": name, "lhs": 1.0, "rhs": 1.0, "holds": holds}
+
+
+def _with_stored_flags(doc):
+    """A tower doc with the verdict flags earlier versions stored."""
+    old = copy.deepcopy(doc)
+    stage_names, trace_names = STORED_FLAG_NAMES[doc["construction"]]
+    for stage in old["stages"]:
+        stage["certified_inequalities"] = [_flag(name) for name in stage_names]
+    old["certificates"] = [_flag(name) for name in trace_names]
+    return old
+
 
 def _extend_last_block(doc, residue_mod_4=None):
     """The doc with its last block one prime longer and its sum and n to match."""
@@ -59,6 +94,11 @@ def _extend_last_block(doc, residue_mod_4=None):
 @pytest.fixture(scope="module")
 def thm12_doc(thm12_two_stage):
     return trace_to_doc(thm12_two_stage)
+
+
+@pytest.fixture(scope="module")
+def thm12_one_stage_doc():
+    return trace_to_doc(build_divergence_tower(1))
 
 
 @pytest.fixture(scope="module")
@@ -163,11 +203,13 @@ class TestSchema:
         # jsonschema is the oracle: the same accept/reject decision on every
         # document of the corpus.  One `items` subschema checks every item of
         # a list, so lists are cut to three items (block_primes has 238 in
-        # thm12_doc): the corpus then costs jsonschema ~3 s, not ~20 s.
+        # thm12_doc): the corpus then costs jsonschema ~3 s, not ~20 s.  The
+        # prop71 document with stored flags keeps $defs/inequality covered.
         schema = load_schema()
         oracle = validator_for(schema)(schema)
         count = 0
-        for doc in map(_trimmed, (thm12_doc, prop71_doc, quad_doc)):
+        corpus = (thm12_doc, prop71_doc, quad_doc, _with_stored_flags(prop71_doc))
+        for doc in map(_trimmed, corpus):
             for mutant in _mutants(doc):
                 try:
                     validate_schema(mutant)
@@ -205,7 +247,6 @@ class TestRoundTrip:
 
     def test_trace_objects_survive(self, thm12_doc):
         rebuilt = trace_from_doc(json.loads(dumps_canonical(thm12_doc)))
-        assert rebuilt.accepted
         assert dumps_canonical(trace_to_doc(rebuilt)) == dumps_canonical(thm12_doc)
 
     def test_fake_factorization_caught(self, prop71_doc):
@@ -221,16 +262,22 @@ class TestRoundTrip:
         doc = trace_to_doc(rebuilt)
         assert {**doc, "m": quad_doc["m"], "verified": True} == quad_doc
 
-    def test_refuses_what_verify_rejects(self, prop71_doc, quad_doc):
+    def test_refuses_what_verify_rejects(self, thm12_one_stage_doc, prop71_doc, quad_doc):
         edits = [
             # a moved block sum, with every stored flag still reading true
-            (prop71_doc, lambda d: d["stages"][0].update(
+            (_with_stored_flags(prop71_doc), lambda d: d["stages"][0].update(
                 block_sum=d["stages"][0]["block_sum"] + 0.5)),
             (prop71_doc, lambda d: d["stages"][1].update(n=d["stages"][1]["n"] + 1)),
             (prop71_doc, lambda d: d["stages"][1]["widmer"].update(log_quantity=0.001)),
             (prop71_doc, lambda d: d["stages"][1]["cumulative_field"].pop()),
-            (prop71_doc, lambda d: d["certificates"][0].update(holds=False)),
+            (prop71_doc, lambda d: d["certificates"].append(_flag("stored", holds=False))),
             (quad_doc, lambda d: d["params"].update(split=[3], inert=[5])),
+            # stage identity: block_certificates() would point at stage 6
+            (thm12_one_stage_doc, lambda d: d["stages"][0].update(index=7)),
+            (prop71_doc, lambda d: d["stages"][1]["widmer"].update(stage=99)),
+            (thm12_one_stage_doc, lambda d: d["stages"][0].update(
+                widmer={"stage": 1, "norm_base": 5, "norm_exponent": 1,
+                        "log_quantity": math.log(5) / 4.0})),
         ]
         for doc, edit in edits:
             broken = copy.deepcopy(doc)
@@ -267,8 +314,6 @@ class TestVerification:
         assert math.nextafter(stage["block_sum"], math.inf) == KAHAN_ERA_STAGE_2_SUM
         old = copy.deepcopy(extensible_thm12_doc)
         old["stages"][1]["block_sum"] = KAHAN_ERA_STAGE_2_SUM
-        old["stages"][1]["certified_inequalities"][2]["lhs"] = KAHAN_ERA_STAGE_2_SUM
-        old["certificates"][0]["lhs"] = old["stages"][0]["block_sum"] + KAHAN_ERA_STAGE_2_SUM
         assert verify_trace_doc(json.loads(dumps_canonical(old))) == []
 
     def test_tampered_threshold_detected(self, thm12_doc):
@@ -322,10 +367,12 @@ class TestVerification:
         assert issues
 
     def test_failed_certificate_flag_detected(self, prop71_doc):
-        broken = copy.deepcopy(prop71_doc)
-        broken["stages"][0]["certified_inequalities"][0]["holds"] = False
-        issues = verify_trace_doc(broken)
-        assert any("does not hold" in msg for msg in issues)
+        broken = _with_stored_flags(prop71_doc)
+        broken["certificates"][0]["holds"] = False
+        assert verify_trace_doc(broken) == [
+            "trace: stored certificate 'discriminant-norm quantities strictly increase'"
+            " does not hold"
+        ]
 
     def test_quadratic_cumulative_field_checked(self, quad_doc):
         for cumulative in ([], [{"value": 7, "factors": [[7, 1]]}]):
@@ -338,6 +385,11 @@ class TestVerification:
 
     def test_quadratic_doc_stores_no_verdicts(self, quad_doc):
         assert quad_doc["stages"][0]["certified_inequalities"] == []
+
+    def test_tower_docs_store_no_verdicts(self, thm12_doc, prop71_doc):
+        for doc in (thm12_doc, prop71_doc):
+            assert doc["certificates"] == []
+            assert all(s["certified_inequalities"] == [] for s in doc["stages"])
 
     def test_quadratic_doc_with_stored_verdicts_still_verifies(self, quad_doc):
         # Earlier versions stored one always-true flag per prescribed prime.
@@ -355,6 +407,17 @@ class TestVerification:
         assert issues == [
             "stage 1: stored certificate 'splitting at 3 is inert' does not hold"
         ]
+
+    def test_tower_docs_with_stored_verdicts_still_verify(self, thm12_doc, prop71_doc):
+        # Earlier versions stored five flags per tower stage and one per trace.
+        for doc in (thm12_doc, prop71_doc):
+            old = _with_stored_flags(doc)
+            assert verify_trace_doc(json.loads(dumps_canonical(old))) == []
+            old["stages"][1]["certified_inequalities"][0]["holds"] = False
+            name = STORED_FLAG_NAMES[doc["construction"]][0][0]
+            assert verify_trace_doc(old) == [
+                f"stage 2: stored certificate {name!r} does not hold"
+            ]
 
 
 def _cli_exit_code(doc, tmp_path, *command):
@@ -439,6 +502,24 @@ class TestTowerRules:
         broken["stages"][0]["n"] = n
         assert verify_trace_doc(broken)
         assert _cli_exit_code(broken, tmp_path, "verify") == 3
+
+    def test_stage_identity_checked(self, thm12_one_stage_doc, prop71_doc, quad_doc):
+        edits = [
+            (quad_doc, lambda d: d["stages"][0].update(index=2),
+             "the stages are not the one field Q(sqrt(m))"),
+            (thm12_one_stage_doc, lambda d: d["stages"][0].update(index=7),
+             "stage 1: index 7 is not the stage's position"),
+            (prop71_doc, lambda d: d["stages"][1]["widmer"].update(stage=99),
+             "stage 2: discriminant-norm record names stage 99"),
+            (thm12_one_stage_doc, lambda d: d["stages"][0].update(
+                widmer={"stage": 1, "norm_base": 5, "norm_exponent": 1,
+                        "log_quantity": math.log(5) / 4.0}),
+             "stage 1: a divergence stage carries a discriminant-norm record"),
+        ]
+        for doc, edit, issue in edits:
+            broken = copy.deepcopy(doc)
+            edit(broken)
+            assert verify_trace_doc(broken) == [issue]
 
     def test_recomputed_block_sums_equal_scalar_terms(self, thm12_two_stage):
         # The verifier sums on the scan kernel; series_term is the scalar

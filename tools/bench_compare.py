@@ -10,7 +10,8 @@ the two in alternating order from pair to pair, so that a drift of the
 machine's speed falls on both sides alike. The run records that perfbench
 writes to .perfbench_out/ are read back, and the output holds the command
 that made it, every run plus, per side, the median and quartiles of
-setup_s, wall_ref and peak_rss_mb, and each side's count of Python lines
+setup_s, wall_ref and peak_rss_mb, per workload and metric the number of
+pairs in which the change read lower, and each side's count of Python lines
 under src/.
 """
 
@@ -89,8 +90,8 @@ def main(argv=None) -> int:
                    "failed": sum(r["failed"] for r in runs[side]), "runs": runs[side]}
             for side in sides
         }
-        doc["workloads"][workload]["change_wall_ref_lower_in"] = sum(
-            c["wall_ref"] < p["wall_ref"] for p, c in zip(runs["parent"], runs["change"]))
+        doc["workloads"][workload]["change_lower_in"] = {
+            m: sum(c[m] < p[m] for p, c in zip(runs["parent"], runs["change"])) for m in METRICS}
     for side, checkout in sides.items():
         env = envs[side]
         doc[side] = {"commit": env["commit"], "modexp_backend": modexp_backend(checkout),
