@@ -339,13 +339,16 @@ def _cmd_inert_companion(args) -> None:
 def _cmd_verify(args) -> None:
     with open(args.trace_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    issues = traceio.verify_trace_doc(doc, sieve_ceiling=_budget("sieve", args.budget_sieve))
+    issues, primality = traceio.verify_with_primality(
+        doc, sieve_ceiling=_budget("sieve", args.budget_sieve)
+    )
     _emit(args, {
         "command": "verify",
         "version": 1,
         "construction": doc.get("construction"),
         "verified": not issues,
         "issues": issues,
+        "primality": primality,
     })
     if issues:
         raise VerificationError("; ".join(issues[:5]))

@@ -311,8 +311,12 @@ def divergence_stage_problems(
     previous: MultiquadField, added: SquarefreeInt, aux: Sequence[int]
 ) -> list[str]:
     """Every way a divergence stage adding Q(sqrt(added)) to `previous` breaks
-    the tower's rule, one message each; its prescription is checked apart."""
+    the tower's rule, one message each; its prescription is checked apart.
+    The rule takes exactly one auxiliary prime, an odd one."""
     problems = []
+    if len(aux) != 1 or aux[0] == 2 or not is_prime(aux[0]):
+        problems.append(f"auxiliary primes {list(aux)} are not one odd prime")
+        aux = ()
     if not linearly_disjoint(previous, MultiquadField.from_generators([added])):
         problems.append("new field is not linearly disjoint")
     for q in aux:

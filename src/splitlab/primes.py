@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -247,6 +247,109 @@ def is_prime(n: int) -> bool:
     if n < MR_PROVEN_BOUND:
         return True
     return _strong_lucas_prp(n)
+
+
+PROVED = "proved"
+PROBABLE = "probable"
+
+
+def _cofactor_powers(x: int, powers: Sequence[tuple[int, int]], n: int) -> list[int]:
+    """x**(F/q) mod n for each (q, q**v) in powers, F the product of the q**v.
+
+    A remainder tree: each half is raised to the other half's product, so
+    every level's exponents together have about F's bits.
+    """
+    if len(powers) == 1:
+        q, qv = powers[0]
+        return [x if qv == q else _powmod(x, qv // q, n)]
+    left, right = powers[: len(powers) // 2], powers[len(powers) // 2 :]
+    return (_cofactor_powers(_powmod(x, math.prod(qv for _, qv in right), n), left, n)
+            + _cofactor_powers(_powmod(x, math.prod(qv for _, qv in left), n), right, n))
+
+
+def _pocklington_holds(n: int, powers: Sequence[tuple[int, int]]) -> Optional[bool]:
+    """Whether every prime factor of n is 1 mod F = prod of the q**v in powers,
+    which all divide n - 1: True when each q has a base a with a**(n-1) = 1 and
+    gcd(a**((n-1)/q) - 1, n) = 1, False when n is shown composite, None when no
+    base was found for some q.
+
+    The first base is the smallest a with Jacobi symbol (a|n) = -1, which
+    serves q = 2 for every prime n; a q it misses retries the MR bases.
+    """
+    a = 2
+    while (symbol := kronecker(a, n)) == 1:
+        a += 1
+    if symbol == 0:  # a < n shares a factor with n
+        return False
+    f = math.prod(qv for _, qv in powers)
+    ys = _cofactor_powers(_powmod(a, (n - 1) // f, n), powers, n)
+    if _powmod(ys[0], powers[0][0], n) != 1:  # a**(n-1) != 1
+        return False
+    for (q, _), y in zip(powers, ys):
+        bases = iter(_MR_BASES)
+        while (g := math.gcd(y - 1, n)) == n:  # y = 1: this base says nothing about q
+            if (b := next(bases, None)) is None:
+                return None
+            y = _powmod(b, (n - 1) // q, n)
+            if _powmod(y, q, n) != 1:
+                return False
+        if g != 1:
+            return False
+    return True
+
+
+def primality(n: int, factor_base: Iterable[int]) -> Optional[str]:
+    """PROVED or PROBABLE when n is prime, None when it is composite.
+
+    factor_base holds primes the caller knows to be prime; the structure of
+    n - 1 over them decides which test runs.  Below MR_PROVEN_BOUND is_prime
+    is a proof; above it _prove_by_n_minus_1 decides.
+    """
+    n = int(n)
+    if n < MR_PROVEN_BOUND:
+        return PROVED if is_prime(n) else None
+    return _prove_by_n_minus_1(n, factor_base)
+
+
+def _prove_by_n_minus_1(n: int, factor_base: Iterable[int]) -> Optional[str]:
+    """PROVED, PROBABLE or None for n > 1, by the structure of n - 1.
+
+    The largest prime powers q**v exactly dividing n - 1 with q in
+    factor_base are taken until their product F has F**3 > n, and
+    Pocklington's criterion shows every prime factor of n to be 1 mod F.
+    That proves n prime when F**2 > n; otherwise n = c2*F**2 + c1*F + 1 with
+    0 <= c1, c2 < F, and n is prime iff c1**2 - 4*c2 is not a square
+    (Brillhart, Lehmer and Selfridge, Math. Comp. 29 (1975), Thm 5; Crandall
+    and Pomerance, Prime Numbers, section 4.1).  When the base falls short of
+    F**3 > n, or no base serves some q, is_prime decides and n is PROBABLE.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return None
+    powers = []
+    for q in set(factor_base):
+        if q < 2:
+            raise ValueError(f"factor base entry {q} is not a prime")
+        qv = q
+        while (n - 1) % (qv * q) == 0:
+            qv *= q
+        if (n - 1) % qv == 0:
+            powers.append((q, qv))
+    f, used = 1, []
+    for q, qv in sorted(powers, key=lambda p: p[1], reverse=True):
+        if f**3 > n:
+            break
+        f *= qv
+        used.append((q, qv))
+    holds = _pocklington_holds(n, used) if f**3 > n else None
+    if holds is None:
+        return PROBABLE if is_prime(n) else None
+    if not holds:
+        return None
+    if f * f > n:
+        return PROVED
+    c1, c2 = (n - 1) // f % f, (n - 1) // (f * f)
+    d = c1 * c1 - 4 * c2
+    return None if d >= 0 and math.isqrt(d) ** 2 == d else PROVED
 
 
 # ---------------------------------------------------------------------------

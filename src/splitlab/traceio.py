@@ -6,7 +6,10 @@ are byte-identical.  verify_trace_doc() re-derives every stage check from
 scratch with the builders' own stage rules, and trace_from_doc() rebuilds
 objects only from a document it accepts; trace_to_doc() alone gives a document
 its shape.  Documents store no verdicts: the flag lists stay empty, and a
-false flag in an older document is still reported.
+false flag in an older document is still reported.  Each generator's primes
+are proved over a factor base the verifier derives from the prescription,
+never from the document; verify_with_primality() says which were only
+probable.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import math
 from dataclasses import asdict
 from importlib import resources
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .constructions import (
     CONSTRUCT_QUADRATIC,
@@ -35,7 +38,7 @@ from .constructions import (
 )
 from .errors import VerificationError
 from .multiquadratic import MultiquadField
-from .primes import DEFAULT_SIEVE_CEILING, is_prime, iter_primes
+from .primes import DEFAULT_SIEVE_CEILING, PROBABLE, PROVED, iter_primes, primality
 from .quadratic import SquarefreeInt
 from .series import range_terms
 
@@ -84,17 +87,23 @@ def _factored_to_doc(m: SquarefreeInt) -> dict:
     }
 
 
-def _factored_from_doc(doc: dict) -> SquarefreeInt:
+def _factored_from_doc(doc: dict, factor_base: Iterable[int]) -> tuple[SquarefreeInt, str]:
+    """The squarefree integer a document's factors give, and PROVED unless
+    the primality of some factor is only probable over factor_base."""
     sign = 1
     primes = []
+    label = PROVED
     for p, a in doc["factors"]:
         if p == -1 and a == 1 and sign > 0:  # the sign: at most one entry, [-1, 1]
             sign = -1
             continue
         if a != 1:
             raise VerificationError(f"factor {p}^{a} is not squarefree")
-        if not is_prime(p):
+        verdict = primality(p, factor_base)
+        if verdict is None:
             raise VerificationError(f"claimed factor {p} is not prime")
+        if verdict == PROBABLE:
+            label = PROBABLE
         primes.append(p)
     try:
         m = SquarefreeInt.from_prime_factors(sign, primes)
@@ -104,7 +113,12 @@ def _factored_from_doc(doc: dict) -> SquarefreeInt:
         raise VerificationError(
             f"factored value mismatch: factors give {m.value}, document says {doc['value']}"
         )
-    return m
+    return m, label
+
+
+def _factor_base(spec: Optional[SplittingSpec]) -> set[int]:
+    """2 and the prescribed primes: the primes a generator's n - 1 proof may use."""
+    return {2} if spec is None else {2, *spec.split, *spec.inert, *spec.ramified}
 
 
 def _stage_to_doc(s: StageRecord) -> dict:
@@ -209,7 +223,7 @@ def trace_from_doc(
         raise VerificationError("; ".join(issues[:5]))
     field = MultiquadField.rationals()
     stages = []
-    for s, added in zip(doc["stages"], proved):
+    for s, (added, _) in zip(doc["stages"], proved):
         field = field.adjoin(added)
         stages.append(
             StageRecord(
@@ -268,45 +282,55 @@ def _check_block(
     return total
 
 
-def _tower_stages(
-    doc: dict, issues: list[str], proved: list[SquarefreeInt]
-) -> Iterator[tuple[int, dict, MultiquadField, SquarefreeInt]]:
-    """(position, stage, previous field, proved field_added) per stage.
+# Per stage, the proved field_added with its primality label, or None.
+_Proved = list[Optional[tuple[SquarefreeInt, str]]]
 
-    An index other than the position, and a stored cumulative field other
-    than the recomputed one, are reported; a stage whose field_added fails
-    its factorization is reported and skipped.
+
+def _tower_stages(
+    doc: dict, issues: list[str], proved: _Proved,
+    prescription: Callable[[int], Optional[SplittingSpec]],
+) -> Iterator[tuple[int, dict, MultiquadField, SquarefreeInt, Optional[SplittingSpec]]]:
+    """(position, stage, previous field, proved field_added, prescription) per stage.
+
+    prescription(n) is what a stage with threshold n prescribes; its primes
+    and 2 are the factor base of the generator's primality proof.  An index
+    other than the position, and a stored cumulative field other than the
+    recomputed one, are reported; a stage whose field_added fails its
+    factorization is reported and skipped.
     """
     previous = MultiquadField.rationals()
     for k, stage in enumerate(doc["stages"], 1):
         if stage["index"] != k:
             issues.append(f"stage {k}: index {stage['index']} is not the stage's position")
+        spec = prescription(stage["n"])
         try:
-            added = _factored_from_doc(stage["field_added"])
+            added, label = _factored_from_doc(stage["field_added"], _factor_base(spec))
         except VerificationError as exc:
             issues.append(f"stage {k}: {exc}")
+            proved.append(None)
             continue
-        proved.append(added)
-        yield k, stage, previous, added
+        proved.append((added, label))
+        yield k, stage, previous, added, spec
         previous = previous.adjoin(added)
-        if [b.value for b in previous.basis] != [b["value"] for b in stage["cumulative_field"]]:
+        if [_factored_to_doc(b) for b in previous.basis] != stage["cumulative_field"]:
             issues.append(f"stage {k}: cumulative field does not match the recomputation")
 
 
-def _verify_thm12(
-    doc: dict, target: float, sieve_ceiling: int, proved: list[SquarefreeInt]
-) -> list[str]:
+def _verify_thm12(doc: dict, target: float, sieve_ceiling: int, proved: _Proved) -> list[str]:
+    def prescription(n: int) -> Optional[SplittingSpec]:
+        split, inert = divergence_prescription(n, sieve_ceiling=sieve_ceiling)
+        return SplittingSpec(split=split, inert=inert) if split or inert else None
+
     issues: list[str] = []
     n_prev = 1
     sums: list[float] = []
-    for k, stage, previous, added in _tower_stages(doc, issues, proved):
+    for k, stage, previous, added, spec in _tower_stages(doc, issues, proved, prescription):
         n_k = stage["n"]
         sums.append(_check_block(issues, k, stage, previous, n_prev, n_k - 1, (3, 4),
                                  f"[{n_prev}, {n_k})", target, sieve_ceiling))
         problems = divergence_stage_problems(previous, added, stage["auxiliary_primes"])
-        split, inert = divergence_prescription(n_k, sieve_ceiling=sieve_ceiling)
-        if split or inert:
-            problems += prescription_problems(added, SplittingSpec(split=split, inert=inert))
+        if spec is not None:
+            problems += prescription_problems(added, spec)
         if stage.get("widmer") is not None:
             problems.append("a divergence stage carries a discriminant-norm record")
         issues += [f"stage {k}: {msg}" for msg in problems]
@@ -320,19 +344,19 @@ def _verify_thm12(
     return issues
 
 
-def _verify_prop71(
-    doc: dict, target: float, sieve_ceiling: int, proved: list[SquarefreeInt]
-) -> list[str]:
+def _verify_prop71(doc: dict, target: float, sieve_ceiling: int, proved: _Proved) -> list[str]:
+    def prescription(n: int) -> SplittingSpec:
+        return split_prime_spec(list(iter_primes(2, n, ceiling=sieve_ceiling)))
+
     issues: list[str] = []
     n_prev = 1
     p_prev = 0
     last_log = -math.inf
-    for i, stage, previous, added in _tower_stages(doc, issues, proved):
+    for i, stage, previous, added, spec in _tower_stages(doc, issues, proved, prescription):
         p_i = added.value
         n_i = stage["n"]
         _check_block(issues, i, stage, previous, n_prev + 1, n_i, None,
                      f"({n_prev}, {n_i}]", target, sieve_ceiling)
-        spec = split_prime_spec(list(iter_primes(2, n_i, ceiling=sieve_ceiling)))
         problems = split_prime_stage_problems(added, n_i, p_prev)
         issues += [f"stage {i}: {msg}" for msg in problems + prescription_problems(added, spec)]
         w = stage.get("widmer")
@@ -353,7 +377,7 @@ def _verify_prop71(
     return issues
 
 
-def _verify_tower(doc: dict, sieve_ceiling: int, proved: list[SquarefreeInt]) -> list[str]:
+def _verify_tower(doc: dict, sieve_ceiling: int, proved: _Proved) -> list[str]:
     """A tower's params must be ones its builder accepts, then its stages verify."""
     issues: list[str] = []
     params, count = doc["params"], len(doc["stages"])
@@ -366,7 +390,7 @@ def _verify_tower(doc: dict, sieve_ceiling: int, proved: list[SquarefreeInt]) ->
     return issues + walk(doc, float(target), sieve_ceiling, proved)
 
 
-def _verify_quadratic(doc: dict, proved: list[SquarefreeInt]) -> list[str]:
+def _verify_quadratic(doc: dict, proved: _Proved) -> list[str]:
     params = doc["params"]
     try:
         spec = SplittingSpec(**{key: params[key] for key in _SPEC_PARAMS})
@@ -375,20 +399,21 @@ def _verify_quadratic(doc: dict, proved: list[SquarefreeInt]) -> list[str]:
     except (TypeError, ValueError) as exc:
         return [f"params: {exc}"]
     try:
-        m = _factored_from_doc(doc["stages"][0]["field_added"])
+        m, label = _factored_from_doc(doc["stages"][0]["field_added"], _factor_base(spec))
     except VerificationError as exc:
+        proved.append(None)
         return [str(exc)]
-    proved.append(m)
+    proved.append((m, label))
     if m.value != doc.get("m", m.value):
         return [f"stage field {m.value} disagrees with top-level m={doc['m']}"]
-    if [(s["index"], [b["value"] for b in s["cumulative_field"]])
-            for s in doc["stages"]] != [(1, [m.value])]:
+    if [(s["index"], s["cumulative_field"]) for s in doc["stages"]] != [(1, [_factored_to_doc(m)])]:
         return ["the stages are not the one field Q(sqrt(m))"]
     return prescription_problems(m, spec)
 
 
-def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], list[SquarefreeInt]]:
-    """The verifier's walk: the issues found, and each stage's proved field_added."""
+def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], _Proved]:
+    """The verifier's walk: the issues found, and per stage the proved
+    field_added with its primality label, or None where it was refused."""
     validate_schema(doc)
     issues: list[str] = []
     # Older documents stored verdict flags; one that reads false is still an issue.
@@ -398,7 +423,7 @@ def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], list[SquarefreeIn
         for c in certs:
             if not c["holds"]:
                 issues.append(f"{where}: stored certificate {c['name']!r} does not hold")
-    proved: list[SquarefreeInt] = []
+    proved: _Proved = []
     kind = doc["construction"]
     if kind in (THM12_TOWER, PROP71_TOWER):
         issues.extend(_verify_tower(doc, sieve_ceiling, proved))
@@ -414,3 +439,12 @@ def verify_trace_doc(
 ) -> list[str]:
     """Re-derive every certificate in the document; returns found problems."""
     return _verify(doc, sieve_ceiling)[0]
+
+
+def verify_with_primality(
+    doc: dict, *, sieve_ceiling: int = DEFAULT_SIEVE_CEILING
+) -> tuple[list[str], list[Optional[str]]]:
+    """verify_trace_doc's problems, and per stage how its generator's primes
+    were shown prime: PROVED, PROBABLE, or None where the generator was refused."""
+    issues, proved = _verify(doc, sieve_ceiling)
+    return issues, [None if g is None else g[1] for g in proved]

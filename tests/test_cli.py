@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from splitlab import traceio
 from splitlab.cli import build_parser, run
-from splitlab.primes import is_prime
+from splitlab.primes import primality
 
 
 def run_cli(args, **kwargs):
@@ -97,6 +98,25 @@ class TestExitCodes:
         assert report["verified"] is False and report["issues"]
         diag = json.loads(err.strip().splitlines()[-1])
         assert diag["error"]["kind"] == "verification"
+
+    def test_verify_reports_primality_per_stage(self, capsys, tmp_path, thm12_two_stage):
+        docs = [traceio.trace_to_doc(thm12_two_stage)]
+        for argv in (["thm12-tower", "--stages", "1"], ["prop71-tower", "--stages", "2"],
+                     ["construct-quadratic", "--split", "3,7,11,19,23", "--inert", "5,13,17"]):
+            code, out, _ = capture(capsys, argv)
+            assert code == 0
+            docs.append(json.loads(out))
+        refused = copy.deepcopy(docs[2])
+        refused["stages"][0]["field_added"] = {"value": 6721, "factors": [[6721, 1]]}
+        path = tmp_path / "trace.json"
+        for doc, want in [(doc, ["proved"] * len(doc["stages"])) for doc in docs] + [
+                (refused, [None, "proved"])]:
+            path.write_text(json.dumps(doc))
+            code, out, _ = capture(capsys, ["verify", str(path)])
+            report = json.loads(out)
+            assert report["primality"] == want
+            assert code == (0 if report["verified"] else 3)
+        assert "claimed factor 6721 is not prime" in report["issues"][0]
 
     @pytest.mark.parametrize(
         "build, check",
@@ -377,11 +397,11 @@ class TestPipelines:
         generator = thm12_two_stage.stages[1].field_added.value
         tested = []
 
-        def counting_is_prime(n):
+        def counting_primality(n, factor_base):
             tested.append(n)
-            return is_prime(n)
+            return primality(n, factor_base)
 
-        monkeypatch.setattr(traceio, "is_prime", counting_is_prime)
+        monkeypatch.setattr(traceio, "primality", counting_primality)
         code, out, _ = capture(
             capsys, ["adjoin-i-bound", "--in", str(path), "--prime-ceiling", "1000"]
         )

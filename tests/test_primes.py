@@ -5,19 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitlab.primes as primes_mod
+from splitlab.constructions import SIGNATURE_COMPLEX, SplittingSpec, construct_prescribed_quadratic
 from splitlab.errors import ResourceBudgetError
 from splitlab.primes import (
+    MR_PROVEN_BOUND,
+    PROBABLE,
+    PROVED,
     FactoredInt,
     PrimeRange,
     crt_solve,
     find_prime_in_ap,
     is_prime,
+    iter_primes,
     kronecker,
     prime_segments,
+    primality,
     sieve_primes,
     smallest_nonresidue,
     squarefree_kernel,
 )
+from splitlab.traceio import quadratic_doc, verify_with_primality
 
 
 # Primes of 64, 271, 830 and 4800 bits, on both sides of GMP_MIN_BITS. Each
@@ -163,6 +171,68 @@ class TestIsPrime:
                 a, e = rng.randrange(3 * n), rng.getrandbits(bits + 5)
                 assert primes_mod._powmod(a, e, n) == pow(a, e, n), (a, e, n)
             assert primes_mod._powmod(a, 0, n) == pow(a, 0, n)
+
+
+def _n_minus_1_primes(n):
+    return [p for p, _ in FactoredInt.from_int(n - 1).factors]
+
+
+# Every prime up to 80, and a modulus M with 4 * M**2 far above MR_PROVEN_BOUND.
+SMALL_PRIMES = list(iter_primes(2, 80))
+MODULUS = 4 * math.prod(SMALL_PRIMES)
+
+
+class TestPrimality:
+    @pytest.mark.parametrize("n", [3215031751, 41041, 24727, 3215031749, 41039])
+    def test_proof_step_agrees_with_is_prime(self, n):
+        # With n - 1 fully factored, F = n - 1 and F**3 > n: the proof alone
+        # decides, so the strong pseudoprime 3215031751 and the Carmichael
+        # number 41041 = 7 * 11 * 13 * 41 are refused and the primes proved.
+        verdict = primes_mod._prove_by_n_minus_1(n, _n_minus_1_primes(n))
+        assert verdict == (PROVED if is_prime(n) else None)
+
+    def test_cube_root_step_refuses_a_composite_pocklington_passes(self):
+        # 24727 = 79 * 313 with 78 and 312 both multiples of F = 3 * 13 = 39:
+        # Pocklington holds, 39**2 < 24727 < 39**3, and c1**2 - 4*c2 = 16.
+        powers = [(13, 13), (3, 3)]
+        assert primes_mod._pocklington_holds(24727, powers) is True
+        assert 39**2 < 24727 < 39**3
+        assert primes_mod._prove_by_n_minus_1(24727, [3, 13]) is None
+
+    def test_structure_decides_the_test(self, monkeypatch):
+        p1 = find_prime_in_ap(1, MODULUS, MODULUS)  # F**2 > p1: Pocklington
+        p2 = find_prime_in_ap(1, MODULUS, MODULUS**2 * math.isqrt(MODULUS))  # F**3 > p2
+        p3 = find_prime_in_ap(1, MODULUS, p1)
+        cases = [
+            (p1, SMALL_PRIMES, PROVED),
+            (p2, SMALL_PRIMES, PROVED),
+            (p2, [2], PROBABLE),  # the base falls short of F**3 > n
+            (2**89 - 1, SMALL_PRIMES, PROBABLE),  # a Mersenne prime: n - 1 lacks F
+            (p1 * p3, SMALL_PRIMES, None),
+            (p1 * p1, SMALL_PRIMES, None),
+            (10**24 + 7, [2], PROVED),  # below MR_PROVEN_BOUND, MR is a proof
+            (10**24 + 9, [2], None),
+        ]
+        assert min(p1, p2, 2**89 - 1) > MR_PROVEN_BOUND
+        assert [primality(n, base) for n, base, _ in cases] == [v for _, _, v in cases]
+        # Both sides of the optional libgmp branch give the same verdicts.
+        monkeypatch.setattr(primes_mod, "_gmp", lambda: None)
+        assert [primality(n, base) for n, base, _ in cases] == [v for _, _, v in cases]
+
+    def test_complex_signature_generator_is_probable(self):
+        # signed = -1 puts t = -1, not 1, mod every split prime, so the split
+        # primes do not divide t - 1 and only is_prime can speak for t.
+        spec = SplittingSpec(split=SMALL_PRIMES[1:], signature=SIGNATURE_COMPLEX)
+        m = construct_prescribed_quadratic(spec)
+        t = -m.value
+        odd = MODULUS // 8  # the odd split primes
+        assert t > MR_PROVEN_BOUND and t % odd == odd - 1
+        assert primality(t, [2, *spec.split]) == PROBABLE
+        assert verify_with_primality(quadratic_doc(spec, m)) == ([], [PROBABLE])
+
+    def test_factor_base_must_hold_primes(self):
+        with pytest.raises(ValueError, match="not a prime"):
+            primality(2**89 - 1, [1, 2])
 
 
 class TestKronecker:

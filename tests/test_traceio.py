@@ -30,6 +30,7 @@ from splitlab.traceio import (
     trace_to_doc,
     validate_schema,
     verify_trace_doc,
+    verify_with_primality,
 )
 
 
@@ -520,6 +521,30 @@ class TestTowerRules:
             broken = copy.deepcopy(doc)
             edit(broken)
             assert verify_trace_doc(broken) == [issue]
+
+    @pytest.mark.parametrize("aux", [[6], [-5], [], [5, 5], [2], [0], [9]])
+    def test_auxiliary_primes_must_be_one_odd_prime(self, thm12_one_stage_doc, aux):
+        broken = copy.deepcopy(thm12_one_stage_doc)
+        assert broken["stages"][0]["auxiliary_primes"] == [5]
+        broken["stages"][0]["auxiliary_primes"] = aux
+        assert verify_trace_doc(broken) == [
+            f"stage 1: auxiliary primes {aux} are not one odd prime"
+        ]
+
+    def test_cumulative_field_factors_checked(self, thm12_one_stage_doc, prop71_doc, quad_doc):
+        for doc, issue in [
+            (thm12_one_stage_doc, "stage 1: cumulative field does not match the recomputation"),
+            (prop71_doc, "stage 1: cumulative field does not match the recomputation"),
+            (quad_doc, "the stages are not the one field Q(sqrt(m))"),
+        ]:
+            for factors in ([[4, 1], [9, 0]], [], [[7, 1]]):
+                broken = copy.deepcopy(doc)
+                broken["stages"][0]["cumulative_field"][0]["factors"] = factors
+                assert verify_trace_doc(broken) == [issue]
+
+    def test_generators_read_proved(self, thm12_doc, thm12_one_stage_doc, prop71_doc, quad_doc):
+        for doc in (thm12_doc, thm12_one_stage_doc, prop71_doc, quad_doc):
+            assert verify_with_primality(doc) == ([], ["proved"] * len(doc["stages"]))
 
     def test_recomputed_block_sums_equal_scalar_terms(self, thm12_two_stage):
         # The verifier sums on the scan kernel; series_term is the scalar

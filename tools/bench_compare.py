@@ -10,9 +10,10 @@ the two in alternating order from pair to pair, so that a drift of the
 machine's speed falls on both sides alike. The run records that perfbench
 writes to .perfbench_out/ are read back, and the output holds the command
 that made it, every run plus, per side, the median and quartiles of
-setup_s, wall_ref and peak_rss_mb, per workload and metric the number of
-pairs in which the change read lower, and each side's count of Python lines
-under src/.
+setup_s, wall_ref and peak_rss_mb and the median number of passes (a run
+that fits more passes in its window can read higher peak_rss_mb), per
+workload and metric the number of pairs in which the change read lower, and
+each side's count of Python lines under src/.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: {out['run']}", file=sys.stderr)
         doc["workloads"][workload] = {
             side: {**{m: summary([r[m] for r in runs[side]]) for m in METRICS},
+                   "median_passes": statistics.median(r["passes"] for r in runs[side]),
                    "failed": sum(r["failed"] for r in runs[side]), "runs": runs[side]}
             for side in sides
         }
