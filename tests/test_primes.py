@@ -177,17 +177,21 @@ def _n_minus_1_primes(n):
     return [p for p, _ in FactoredInt.from_int(n - 1).factors]
 
 
-# Every prime up to 80, and a modulus M with 4 * M**2 far above MR_PROVEN_BOUND.
+# Every prime up to 80, and 4 times their product, a 104-bit modulus: the
+# primes 1 mod it lie above MR_PROVEN_BOUND, where the n - 1 proof runs.
 SMALL_PRIMES = list(iter_primes(2, 80))
 MODULUS = 4 * math.prod(SMALL_PRIMES)
 
 
 class TestPrimality:
-    @pytest.mark.parametrize("n", [3215031751, 41041, 24727, 3215031749, 41039])
+    @pytest.mark.parametrize(
+        "n", [3215031751, 41041, 24727, 35, 1037761, 3215031749, 41039])
     def test_proof_step_agrees_with_is_prime(self, n):
         # With n - 1 fully factored, F = n - 1 and F**3 > n: the proof alone
         # decides, so the strong pseudoprime 3215031751 and the Carmichael
         # number 41041 = 7 * 11 * 13 * 41 are refused and the primes proved.
+        # 35 passes every check but a**(n-1) = 1, and 1037761 = 19 * 193 * 283
+        # every check but gcd(a**((n-1)/q) - 1, n) = 1.
         verdict = primes_mod._prove_by_n_minus_1(n, _n_minus_1_primes(n))
         assert verdict == (PROVED if is_prime(n) else None)
 
@@ -200,8 +204,9 @@ class TestPrimality:
         assert primes_mod._prove_by_n_minus_1(24727, [3, 13]) is None
 
     def test_structure_decides_the_test(self, monkeypatch):
-        p1 = find_prime_in_ap(1, MODULUS, MODULUS)  # F**2 > p1: Pocklington
-        p2 = find_prime_in_ap(1, MODULUS, MODULUS**2 * math.isqrt(MODULUS))  # F**3 > p2
+        # 106 and 259 bits, each p - 1 a multiple of MODULUS
+        p1 = find_prime_in_ap(1, MODULUS, MODULUS)
+        p2 = find_prime_in_ap(1, MODULUS, MODULUS**2 * math.isqrt(MODULUS))
         p3 = find_prime_in_ap(1, MODULUS, p1)
         cases = [
             (p1, SMALL_PRIMES, PROVED),
