@@ -30,7 +30,6 @@ from splitlab.traceio import (
     trace_to_doc,
     validate_schema,
     verify_trace_doc,
-    verify_with_primality,
 )
 
 
@@ -541,10 +540,6 @@ class TestTowerRules:
                 broken = copy.deepcopy(doc)
                 broken["stages"][0]["cumulative_field"][0]["factors"] = factors
                 assert verify_trace_doc(broken) == [issue]
-
-    def test_generators_read_proved(self, thm12_doc, thm12_one_stage_doc, prop71_doc, quad_doc):
-        for doc in (thm12_doc, thm12_one_stage_doc, prop71_doc, quad_doc):
-            assert verify_with_primality(doc) == ([], ["proved"] * len(doc["stages"]))
 
     def test_recomputed_block_sums_equal_scalar_terms(self, thm12_two_stage):
         # The verifier sums on the scan kernel; series_term is the scalar
