@@ -93,6 +93,13 @@ class SplittingSpec:
             raise ValueError("at least one constraint must be nonempty")
 
 
+def proof_factor_base(spec: Optional[SplittingSpec]) -> set[int]:
+    """2 and the prescribed primes: the primes a generator's n - 1 proof may
+    use.  They divide the CRT modulus, so a cofactor t = 1 mod that modulus
+    is proved over them."""
+    return {2} if spec is None else {2, *spec.split, *spec.inert, *spec.ramified}
+
+
 def construct_prescribed_quadratic(
     spec: SplittingSpec,
     *,
@@ -137,7 +144,9 @@ def construct_prescribed_quadratic(
             f"prescription needs a CRT modulus of {modulus.bit_length()} bits, "
             f"over the budget of {modulus_bit_budget}"
         )
-    t = find_prime_in_ap(residue, modulus, 1, budget=ap_budget)
+    t = find_prime_in_ap(
+        residue, modulus, 1, budget=ap_budget, factor_base=proof_factor_base(spec)
+    )
     result = SquarefreeInt.from_prime_factors(sigma, ram_primes + [t])
     problems = prescription_problems(result, spec)
     if problems:
@@ -245,6 +254,10 @@ def valid_sum_target(sum_target: float) -> bool:
     return math.isfinite(sum_target) and sum_target > 0
 
 
+# The budgets a tower's params record, each a positive integer.
+TOWER_BUDGETS = ("ap_budget", "sieve_ceiling", "modulus_bit_budget")
+
+
 def _tower_params(num_stages: int, sum_target: float, *, stage_cap: int, **budgets) -> dict:
     """Check a tower builder's arguments; returns them as the trace's params."""
     if num_stages < 1:
@@ -253,6 +266,9 @@ def _tower_params(num_stages: int, sum_target: float, *, stage_cap: int, **budge
         raise ValueError(f"num_stages {num_stages} exceeds the stage cap {stage_cap}")
     if not valid_sum_target(sum_target):
         raise ValueError("sum_target_per_block must be finite and positive")
+    for name, value in budgets.items():
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return {"stages": num_stages, "sum_target": sum_target, **budgets}
 
 
@@ -502,7 +518,7 @@ def build_split_prime_tower(
                 f"about {int(bits)} bits, over the budget of {modulus_bit_budget}"
             )
         modulus = 4 * math.prod(small)
-        p_i = find_prime_in_ap(1, modulus, max(n_i, p_prev), budget=ap_budget)
+        p_i = find_prime_in_ap(1, modulus, max(n_i, p_prev), budget=ap_budget, factor_base=small)
         added = SquarefreeInt.from_prime_factors(1, [p_i])
         problems = (split_prime_stage_problems(added, n_i, p_prev)
                     + prescription_problems(added, split_prime_spec(small)))

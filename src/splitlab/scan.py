@@ -5,8 +5,9 @@ dividing a generator) on a whole segment of primes with numpy:
 
 - an atom of absolute value below _TABLE_BELOW by a table of the Jacobi
   symbol (a | p), which depends only on p mod 4|a| (quadratic reciprocity);
-- a larger atom by the Euler criterion a^((p-1)/2) mod p in int64, with the
-  atom first reduced mod p over 31-bit limbs, so it may have any size.
+- a larger atom by the Euler criterion a^((p-1)/2) mod p in int64, on
+  primes.powmod_array, which first reduces the atom mod p over 31-bit limbs,
+  so it may have any size.
 
 For an odd prime dividing no generator, a generator's symbol is the product
 of its atoms' symbols: f = 2 iff some basis symbol is -1, and e = 1.  So the
@@ -25,19 +26,13 @@ from typing import Iterator
 import numpy as np
 
 from .multiquadratic import MultiquadField, local_data
-from .primes import DEFAULT_SIEVE_CEILING, prime_segments
+from .primes import DEFAULT_SIEVE_CEILING, INT64_EXACT_BELOW, powmod_array, prime_segments
 
 # Atoms below this get a lookup table of 4|a| entries.  Larger ones pay the
 # Euler criterion, a few dozen int64 passes over every prime it is asked about
 # against one table lookup, which is why generators made only of tabled atoms
 # go first.
 _TABLE_BELOW = 1 << 12
-
-# Euler's criterion squares residues below p in int64: exact while
-# (p - 1)**2 < 2**63.  Primes from here on take the scalar path.
-_INT64_EXACT_BELOW = 3_037_000_500
-
-_LIMB_BITS = 31
 
 
 @functools.lru_cache(maxsize=64)  # at most 1 MB; tower builds re-scan the same atoms
@@ -58,31 +53,10 @@ def _jacobi_table(a: int) -> np.ndarray:
     return table
 
 
-def _limbs(a: int) -> list[int]:
-    """The positive integer a in base 2**31, most significant limb first."""
-    limbs = []
-    while a:
-        limbs.append(a & ((1 << _LIMB_BITS) - 1))
-        a >>= _LIMB_BITS
-    return limbs[::-1]
-
-
-def _euler_is_nonresidue(limbs: list[int], p: np.ndarray) -> np.ndarray:
-    """a^((p-1)/2) == -1 (mod p) for the atom a given by its limbs.
-
-    Every p must be odd and below _INT64_EXACT_BELOW.
-    """
-    base = np.zeros_like(p)
-    for limb in limbs:  # Horner: base * 2**31 + limb stays below 2**63
-        base = ((base << _LIMB_BITS) + limb) % p
-    power = np.ones_like(p)
-    exponent = (p - 1) >> 1
-    while True:
-        power = np.where(exponent & 1, power * base % p, power)
-        exponent >>= 1
-        if not exponent.any():
-            return power == p - 1
-        base = base * base % p
+def _euler_is_nonresidue(a: int, p: np.ndarray) -> np.ndarray:
+    """a^((p-1)/2) == -1 (mod p) for the atom a; every p odd and below
+    INT64_EXACT_BELOW, from which primes take the scalar path."""
+    return powmod_array(a, (p - 1) >> 1, p) == p - 1
 
 
 def scan(
@@ -98,18 +72,18 @@ def scan(
     """
     atoms = sorted(set().union(*(b.atoms for b in field.basis)))
     tables = {a: _jacobi_table(a) for a in atoms if abs(a) < _TABLE_BELOW}
-    limbs = {a: _limbs(a) for a in atoms if abs(a) >= _TABLE_BELOW}
-    rows = sorted((b.atoms for b in field.basis), key=lambda row: sum(a in limbs for a in row))
+    rows = sorted((b.atoms for b in field.basis),
+                  key=lambda row: sum(a not in tables for a in row))
     special = np.array(sorted({2} | {a for a in atoms if 2 < a <= hi}), dtype=np.int64)
     for p in prime_segments(lo, hi, ceiling=sieve_ceiling):
-        scalar = np.isin(p, special) | (p >= _INT64_EXACT_BELOW)
+        scalar = np.isin(p, special) | (p >= INT64_EXACT_BELOW)
         inert = scalar.copy()  # scalar slots are filled in below, not here
         for row in rows:  # a generator's symbol is -1 iff an odd number of atoms' are
             live = np.flatnonzero(~inert)
             q = p[live]
             inert[live] = np.logical_xor.reduce([
                 tables[a][q % len(tables[a])] < 0 if a in tables
-                else _euler_is_nonresidue(limbs[a], q)
+                else _euler_is_nonresidue(a, q)
                 for a in row
             ])
         e = np.ones_like(p)

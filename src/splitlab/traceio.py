@@ -25,12 +25,15 @@ from .constructions import (
     CONSTRUCT_QUADRATIC,
     PROP71_TOWER,
     THM12_TOWER,
+    TOWER_BUDGETS,
     ConstructionTrace,
     SplittingSpec,
     StageRecord,
     WidmerTerm,
+    _tower_params,
     divergence_prescription,
     divergence_stage_problems,
+    proof_factor_base,
     prescription_problems,
     split_prime_spec,
     split_prime_stage_problems,
@@ -114,11 +117,6 @@ def _factored_from_doc(doc: dict, factor_base: Iterable[int]) -> tuple[Squarefre
             f"factored value mismatch: factors give {m.value}, document says {doc['value']}"
         )
     return m, label
-
-
-def _factor_base(spec: Optional[SplittingSpec]) -> set[int]:
-    """2 and the prescribed primes: the primes a generator's n - 1 proof may use."""
-    return {2} if spec is None else {2, *spec.split, *spec.inert, *spec.ramified}
 
 
 def _stage_to_doc(s: StageRecord) -> dict:
@@ -304,7 +302,7 @@ def _tower_stages(
             issues.append(f"stage {k}: index {stage['index']} is not the stage's position")
         spec = prescription(stage["n"])
         try:
-            added, label = _factored_from_doc(stage["field_added"], _factor_base(spec))
+            added, label = _factored_from_doc(stage["field_added"], proof_factor_base(spec))
         except VerificationError as exc:
             issues.append(f"stage {k}: {exc}")
             proved.append(None)
@@ -386,6 +384,11 @@ def _verify_tower(doc: dict, sieve_ceiling: int, proved: _Proved) -> list[str]:
     target = params.get("sum_target", 1.0)
     if not (isinstance(target, (int, float)) and valid_sum_target(target)):
         return issues + [f"params: sum target {target!r} is not finite and positive"]
+    try:
+        _tower_params(count, target, stage_cap=count,
+                      **{name: params.get(name) for name in TOWER_BUDGETS})
+    except ValueError as exc:
+        issues.append(f"params: {exc}")
     walk = _verify_thm12 if doc["construction"] == THM12_TOWER else _verify_prop71
     return issues + walk(doc, float(target), sieve_ceiling, proved)
 
@@ -399,7 +402,7 @@ def _verify_quadratic(doc: dict, proved: _Proved) -> list[str]:
     except (TypeError, ValueError) as exc:
         return [f"params: {exc}"]
     try:
-        m, label = _factored_from_doc(doc["stages"][0]["field_added"], _factor_base(spec))
+        m, label = _factored_from_doc(doc["stages"][0]["field_added"], proof_factor_base(spec))
     except VerificationError as exc:
         proved.append(None)
         return [str(exc)]
@@ -408,7 +411,32 @@ def _verify_quadratic(doc: dict, proved: _Proved) -> list[str]:
         return [f"stage field {m.value} disagrees with top-level m={doc['m']}"]
     if [(s["index"], s["cumulative_field"]) for s in doc["stages"]] != [(1, [_factored_to_doc(m)])]:
         return ["the stages are not the one field Q(sqrt(m))"]
-    return prescription_problems(m, spec)
+    if problems := prescription_problems(m, spec):
+        return problems
+    # Every other field is derived from params and m; the flag lists keep
+    # the stored-flag check above.
+    derived = quadratic_doc(spec, m)
+    derived["certificates"] = doc["certificates"]
+    derived["stages"][0]["certified_inequalities"] = doc["stages"][0]["certified_inequalities"]
+    return [f"{path} is not what construct-quadratic emits for these params and m"
+            for path in _differing_paths(doc, derived, "$")]
+
+
+def _differing_paths(stored: Any, derived: Any, path: str) -> Iterator[str]:
+    """The JSON paths at which two documents differ as JSON, where 0 is not 0.0
+    or false: a key only one side has, or a value that differs."""
+    if isinstance(stored, dict) and isinstance(derived, dict):
+        for key in sorted(stored.keys() | derived.keys()):
+            if key in stored and key in derived:
+                yield from _differing_paths(stored[key], derived[key], f"{path}.{key}")
+            else:
+                yield f"{path}.{key}"
+    elif (isinstance(stored, list) and isinstance(derived, list)
+          and len(stored) == len(derived)):
+        for i, (a, b) in enumerate(zip(stored, derived)):
+            yield from _differing_paths(a, b, f"{path}[{i}]")
+    elif json.dumps(stored, sort_keys=True) != json.dumps(derived, sort_keys=True):
+        yield path
 
 
 def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], _Proved]:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 
@@ -10,6 +11,7 @@ from splitlab.constructions import (
     TWO_INERT,
     TWO_RAMIFIED,
     TWO_SPLIT,
+    TOWER_BUDGETS,
     TWO_UNCONSTRAINED,
     SplittingSpec,
     build_divergence_tower,
@@ -20,10 +22,10 @@ from splitlab.constructions import (
     construct_prescribed_quadratic,
     search_inert_companion,
 )
-from splitlab import cli, constructions
+from splitlab import cli, constructions, primes
 from splitlab.errors import ResourceBudgetError, VerificationError
 from splitlab.multiquadratic import MultiquadField, linearly_disjoint, totally_split
-from splitlab.primes import PrimeRange, find_prime_in_ap, iter_primes, kronecker
+from splitlab.primes import MR_PROVEN_BOUND, PrimeRange, find_prime_in_ap, iter_primes, kronecker
 from splitlab.quadratic import SplittingType, SquarefreeInt, splitting_type
 from splitlab.series import series_term, tower_sum
 from splitlab.traceio import trace_to_doc, verify_trace_doc
@@ -46,6 +48,29 @@ class TestPrescribedQuadratic:
         m = construct_prescribed_quadratic(spec)
         assert m.value % 7 == 0 and m.value % 49 != 0
         assert splitting_type(m, 7) is SplittingType.RAMIFIED
+
+    def test_winner_below_the_sieve_bound_matches_unsieved(self, monkeypatch, capsys):
+        # The progression 11 mod 15 starts at a prime far below the sieve bound.
+        argv = ["construct-quadratic", "--split", "5", "--inert", "3"]
+        assert cli.run(argv) == 0
+        sieved = capsys.readouterr().out
+        monkeypatch.setattr(primes, "_presieve_bound", lambda bits: 1)
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == sieved and json.loads(sieved)["m"] == 11
+
+    def test_proved_winner_skips_the_strong_lucas_test(self, monkeypatch):
+        # With every odd prime below 80 split, t = 1 modulo each and the
+        # winner is proved over the spec's primes.  With the complex
+        # signature t = -1 modulo each, the proof lacks its factor and the
+        # winner takes is_prime's full battery, strong Lucas included.
+        calls = []
+        lucas = primes._strong_lucas_prp
+        monkeypatch.setattr(primes, "_strong_lucas_prp", lambda n: calls.append(n) or lucas(n))
+        split = frozenset(iter_primes(3, 80))
+        real = construct_prescribed_quadratic(SplittingSpec(split=split))
+        assert real.value > MR_PROVEN_BOUND and calls == []
+        spec = SplittingSpec(split=split, signature=SIGNATURE_COMPLEX)
+        assert calls == [-construct_prescribed_quadratic(spec).value]
 
     def test_disjointness_precondition(self):
         with pytest.raises(ValueError, match="disjoint"):
@@ -332,6 +357,15 @@ class TestSplitPrimeTower:
 def test_tower_rejects_non_finite_or_non_positive_sum_target(builder, target):
     with pytest.raises(ValueError, match="finite and positive"):
         builder(1, target)
+
+
+@pytest.mark.parametrize("builder", [build_divergence_tower, build_split_prime_tower])
+@pytest.mark.parametrize("budget", TOWER_BUDGETS)
+@pytest.mark.parametrize("value", [0, -1, 2.0])
+def test_tower_rejects_a_budget_that_is_not_a_positive_integer(builder, budget, value):
+    with pytest.raises(ValueError) as excinfo:
+        builder(1, **{budget: value})
+    assert str(excinfo.value) == f"{budget} must be a positive integer, got {value!r}"
 
 
 class TestInertCompanion:

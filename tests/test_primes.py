@@ -333,7 +333,76 @@ class TestCrt:
             assert x % m == r
 
 
+def _plain_walk(residue, modulus, floor):
+    """The smallest prime = residue (mod modulus) above floor, by is_prime on
+    every candidate: the search with no pre-sieve."""
+    n = floor + 1 + (residue - floor - 1) % modulus
+    while not is_prime(n):
+        n += modulus
+    return n
+
+
+@pytest.fixture(params=["gmp", "pow"])
+def modexp(request, monkeypatch):
+    """Each test twice: with libgmp when it loads, and with CPython pow."""
+    if request.param == "pow":
+        monkeypatch.setattr(primes_mod, "_gmp", lambda: None)
+    return request.param
+
+
 class TestFindPrimeInAp:
+    def test_sieved_search_agrees_with_a_plain_walk(self, modexp):
+        # Every progression of modulus up to 36: each lies below the sieve
+        # bound, and every odd one holds even candidates.  From floor 0 the
+        # answer may be a sieving prime itself; above 10**6 and 2**90 every
+        # candidate exceeds the bound and the sieve strikes.
+        for modulus in range(1, 37):
+            for residue in range(modulus):
+                if math.gcd(residue, modulus) != 1:
+                    continue
+                for floor in (0, 10**6, 2**90):
+                    want = _plain_walk(residue, modulus, floor)
+                    assert find_prime_in_ap(residue, modulus, floor) == want, (
+                        residue, modulus, floor)
+
+    def test_factor_base_search_agrees_with_a_plain_walk(self, modexp):
+        # Moduli above the sieve bound; with their primes as the factor base,
+        # winners above MR_PROVEN_BOUND are proved, and the search still
+        # returns the smallest prime.
+        for modulus, base in [(MODULUS, SMALL_PRIMES), (2 * 3**40, [2, 3]),
+                              (2**11 * 4099, [2, 4099])]:
+            for floor in (0, 10**30, MODULUS**2):
+                want = _plain_walk(1, modulus, floor)
+                assert find_prime_in_ap(1, modulus, floor, factor_base=base) == want
+                assert find_prime_in_ap(1, modulus, floor) == want
+
+    def test_candidates_that_are_sieving_primes(self, modexp):
+        assert primes_mod._presieve_bound(2) >= 1024
+        assert find_prime_in_ap(2, 3, 1) == 2
+        assert find_prime_in_ap(5, 6, 4) == 5
+        assert find_prime_in_ap(1021, 2048, 0) == 1021  # the largest prime below 2**10
+        assert find_prime_in_ap(0, 1, 1018) == 1019
+
+    def test_budget_counts_struck_candidates(self):
+        # The odd numbers after 1000003 up to the next prime, 1000033, are 15
+        # candidates, and the sieve strikes all 14 composites among them.
+        assert find_prime_in_ap(1, 2, 1000003, budget=15) == 1000033
+        with pytest.raises(ResourceBudgetError) as excinfo:
+            find_prime_in_ap(1, 2, 1000003, budget=14)
+        assert str(excinfo.value) == (
+            "scan budget 14 exhausted searching the progression 1 mod 2 above 1000003")
+
+    def test_proof_refuses_a_base_2_strong_pseudoprime(self, modexp, monkeypatch):
+        # 2047 = 23 * 89 passes the base-2 round and is 1 mod 2046 = 2*3*11*31.
+        # With no sieving prime as large as 23, it reaches the proof, and
+        # with MR_PROVEN_BOUND at 0 only the proof decides.
+        monkeypatch.setattr(primes_mod, "MR_PROVEN_BOUND", 0)
+        monkeypatch.setattr(primes_mod, "_presieve_bound", lambda bits: 19)
+        base = [2, 3, 11, 31]
+        assert primes_mod._mr_round(2047, 2)
+        assert primality(2047, base) is None and primality(4093, base) == PROVED
+        assert find_prime_in_ap(1, 2046, 1, factor_base=base) == 4093
+
     def test_examples(self):
         assert find_prime_in_ap(1, 4, 10) == 13
         assert find_prime_in_ap(2, 3, 1) == 2
@@ -344,8 +413,10 @@ class TestFindPrimeInAp:
 
     def test_budget_exhaustion(self):
         # 114..118 are all composite
-        with pytest.raises(ResourceBudgetError, match="budget 5"):
+        with pytest.raises(ResourceBudgetError) as excinfo:
             find_prime_in_ap(0, 1, 113, budget=5)
+        assert str(excinfo.value) == (
+            "scan budget 5 exhausted searching the progression 0 mod 1 above 113")
 
     def test_strictness_of_min_value(self):
         assert find_prime_in_ap(5, 6, 5) == 11

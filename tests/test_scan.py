@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from splitlab import scan as scan_module
 from splitlab.multiquadratic import MultiquadField, local_data, totally_split
-from splitlab.primes import _SEGMENT, PrimeRange, iter_primes, kronecker
+from splitlab.primes import _SEGMENT, INT64_EXACT_BELOW, PrimeRange, iter_primes, kronecker
 from splitlab.quadratic import SquarefreeInt
-from splitlab.scan import _INT64_EXACT_BELOW, _TABLE_BELOW, scan
+from splitlab.scan import _TABLE_BELOW, scan
 from splitlab.series import partial_sum, series_term
 
 # Generators as (sign, prime divisors), so that no test pays for factoring.
@@ -97,7 +97,7 @@ def test_partial_sum_terms_match_scalar_loop(field, bounds):
     assert report.partial_sum == math.fsum(t[3] for t in want)
 
 
-@pytest.mark.parametrize("middle", [_INT64_EXACT_BELOW, 2**32])
+@pytest.mark.parametrize("middle", [INT64_EXACT_BELOW, 2**32])
 def test_primes_past_int64_squaring_take_the_scalar_path(middle):
     # Euler's criterion in int64 overflows past the bound, and near 2**32
     # almost every product does; the kernel hands those primes to local_data.

@@ -383,6 +383,31 @@ class TestVerification:
         broken["stages"].append(copy.deepcopy(broken["stages"][0]))
         assert verify_trace_doc(broken) == ["the stages are not the one field Q(sqrt(m))"]
 
+    @pytest.mark.parametrize("path,value", [
+        (("stages", 0, "n"), 1),
+        (("stages", 0, "block_sum"), -5e-324),
+        (("stages", 0, "block_sum"), 0),
+        (("stages", 0, "block_primes"), [3]),
+        (("stages", 0, "auxiliary_primes"), [7]),
+        (("verified",), False),
+        (("params", "split"), [5, 5]),
+    ])
+    def test_quadratic_doc_compared_whole(self, quad_doc, tmp_path, path, value):
+        # Each value is derived from params and m, so an edit of one is
+        # refused even where every splitting check still holds.
+        broken = _edited(quad_doc, path, lambda c, key: c.__setitem__(key, value))
+        where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        assert verify_trace_doc(broken) == [
+            f"{where} is not what construct-quadratic emits for these params and m"]
+        assert _cli_exit_code(broken, tmp_path, "verify") == 3
+
+    def test_quadratic_doc_with_extra_or_missing_keys_refused(self, quad_doc):
+        extra = {**quad_doc, "note": "hand-edited"}
+        missing = {key: v for key, v in quad_doc.items() if key != "verified"}
+        for broken, where in [(extra, "$.note"), (missing, "$.verified")]:
+            assert verify_trace_doc(broken) == [
+                f"{where} is not what construct-quadratic emits for these params and m"]
+
     def test_quadratic_doc_stores_no_verdicts(self, quad_doc):
         assert quad_doc["stages"][0]["certified_inequalities"] == []
 
@@ -464,6 +489,23 @@ class TestTowerRules:
             assert verify_trace_doc(broken) == [
                 f"params: sum target {target!r} is not finite and positive"
             ]
+
+    @pytest.mark.parametrize("budget", ["ap_budget", "sieve_ceiling", "modulus_bit_budget"])
+    @pytest.mark.parametrize("value", [0, -7, 1.5, "100", None])
+    def test_budget_the_builders_reject(self, thm12_one_stage_doc, prop71_doc, tmp_path,
+                                        budget, value):
+        for doc in (thm12_one_stage_doc, prop71_doc):
+            broken = copy.deepcopy(doc)
+            broken["params"][budget] = value
+            assert verify_trace_doc(broken) == [
+                f"params: {budget} must be a positive integer, got {value!r}"]
+        assert _cli_exit_code(broken, tmp_path, "verify") == 3
+
+    def test_missing_budget_rejected(self, prop71_doc):
+        broken = copy.deepcopy(prop71_doc)
+        del broken["params"]["ap_budget"]
+        assert verify_trace_doc(broken) == [
+            "params: ap_budget must be a positive integer, got None"]
 
     def test_deleted_stage_rejected(self, thm12_doc, prop71_doc):
         for doc in (thm12_doc, prop71_doc):

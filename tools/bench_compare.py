@@ -9,11 +9,13 @@ perfbench/run.py once in each checkout at the benchmark's own run length,
 the two in alternating order from pair to pair, so that a drift of the
 machine's speed falls on both sides alike. The run records that perfbench
 writes to .perfbench_out/ are read back, and the output holds the command
-that made it, every run plus, per side, the median and quartiles of
-setup_s, wall_ref and peak_rss_mb and the median number of passes (a run
-that fits more passes in its window can read higher peak_rss_mb), per
-workload and metric the number of pairs in which the change read lower, and
-each side's count of Python lines under src/.
+that made it, every run with its set-up times (setup_s is their median; the
+first set-up runs in process, the rest in fresh interpreters), plus, per
+side, the median and quartiles of setup_s, wall_ref and peak_rss_mb and
+the median number of passes (a run that fits more passes in its window can
+read higher peak_rss_mb), per workload and metric the number of pairs in
+which the change read lower, and each side's count of Python lines under
+src/.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         (checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
     run = {k: result["metrics"][k]["value"] for k in METRICS}
     run.update(seed=seed, wall_s=record["wall_s"], passes=record["passes"],
-               attempted=result["attempted"], failed=result["failed"])
+               setup_runs_s=record["setup_runs_s"], attempted=result["attempted"],
+               failed=result["failed"])
     return {"run": run, "env": record["env"]}
 
 
