@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -482,7 +482,7 @@ def _presieve_bound(bits: int) -> int:
     return 1 << min(max((bits**3 >> 15).bit_length() - 1, 10), 20)
 
 
-def _survivor_is_prime(n: int, factor_base: Optional[Iterable[int]]) -> bool:
+def _survivor_is_prime(n: int, factor_base: Optional[Collection[int]]) -> bool:
     """Whether a candidate that survived the pre-sieve is prime: is_prime
     without a factor base, else one base-2 round and primality's proof."""
     if factor_base is None or n < MR_PROVEN_BOUND:
@@ -496,7 +496,7 @@ def find_prime_in_ap(
     min_value: int,
     *,
     budget: int = DEFAULT_AP_BUDGET,
-    factor_base: Optional[Iterable[int]] = None,
+    factor_base: Optional[Collection[int]] = None,
 ) -> int:
     """Smallest prime p = residue (mod modulus) with p > min_value.
 
@@ -519,8 +519,6 @@ def find_prime_in_ap(
             f"residue {residue} and modulus {modulus} are not coprime; "
             "the progression contains at most one prime"
         )
-    if factor_base is not None:
-        factor_base = frozenset(factor_base)
     c = residue % modulus
     first = c + modulus * max(0, -((c - min_value - 1) // modulus))
     if first <= min_value:

@@ -33,8 +33,8 @@ from .constructions import (
     _tower_params,
     divergence_prescription,
     divergence_stage_problems,
-    proof_factor_base,
     prescription_problems,
+    proof_factor_base,
     split_prime_spec,
     split_prime_stage_problems,
     valid_sum_target,

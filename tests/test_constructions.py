@@ -8,10 +8,10 @@ import pytest
 from splitlab.constructions import (
     SIGNATURE_COMPLEX,
     SIGNATURE_REAL,
+    TOWER_BUDGETS,
     TWO_INERT,
     TWO_RAMIFIED,
     TWO_SPLIT,
-    TOWER_BUDGETS,
     TWO_UNCONSTRAINED,
     SplittingSpec,
     build_divergence_tower,

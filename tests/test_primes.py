@@ -376,17 +376,16 @@ class TestFindPrimeInAp:
                 assert find_prime_in_ap(1, modulus, floor, factor_base=base) == want
                 assert find_prime_in_ap(1, modulus, floor) == want
 
-    def test_candidates_that_are_sieving_primes(self, modexp):
-        assert primes_mod._presieve_bound(2) >= 1024
-        assert find_prime_in_ap(2, 3, 1) == 2
-        assert find_prime_in_ap(5, 6, 4) == 5
-        assert find_prime_in_ap(1021, 2048, 0) == 1021  # the largest prime below 2**10
-        assert find_prime_in_ap(0, 1, 1018) == 1019
-
-    def test_budget_counts_struck_candidates(self):
+    def test_budget_counts_struck_candidates(self, monkeypatch):
         # The odd numbers after 1000003 up to the next prime, 1000033, are 15
-        # candidates, and the sieve strikes all 14 composites among them.
+        # candidates.  The sieve strikes all 14 composites among them, whose
+        # least factors run from 3 to 293, so only the prime is tested.
+        tested = []
+        survivor_is_prime = primes_mod._survivor_is_prime
+        monkeypatch.setattr(primes_mod, "_survivor_is_prime",
+                            lambda n, base: tested.append(n) or survivor_is_prime(n, base))
         assert find_prime_in_ap(1, 2, 1000003, budget=15) == 1000033
+        assert tested == [1000033]
         with pytest.raises(ResourceBudgetError) as excinfo:
             find_prime_in_ap(1, 2, 1000003, budget=14)
         assert str(excinfo.value) == (
@@ -405,7 +404,10 @@ class TestFindPrimeInAp:
 
     def test_examples(self):
         assert find_prime_in_ap(1, 4, 10) == 13
+        # winners that are sieving primes themselves: the bound is 2**10 here
         assert find_prime_in_ap(2, 3, 1) == 2
+        assert find_prime_in_ap(1021, 2048, 0) == 1021
+        assert find_prime_in_ap(0, 1, 1018) == 1019
 
     def test_gcd_violation_rejected(self):
         with pytest.raises(ValueError, match="not coprime"):
