@@ -482,12 +482,10 @@ def _presieve_bound(bits: int) -> int:
     return 1 << min(max((bits**3 >> 15).bit_length() - 1, 10), 20)
 
 
-def _survivor_is_prime(n: int, factor_base: Optional[Collection[int]]) -> bool:
-    """Whether a candidate that survived the pre-sieve is prime: is_prime
-    without a factor base, else one base-2 round and primality's proof."""
-    if factor_base is None or n < MR_PROVEN_BOUND:
-        return is_prime(n)
-    return _mr_round(n, 2) and primality(n, factor_base) is not None
+def _survivor_is_prime(n: int, factor_base: Collection[int]) -> bool:
+    """Whether a candidate n >= 2 that survived the pre-sieve is prime: one
+    base-2 round, then primality's proof, which falls back to is_prime."""
+    return n == 2 or _mr_round(n, 2) and primality(n, factor_base) is not None
 
 
 def find_prime_in_ap(
@@ -496,7 +494,7 @@ def find_prime_in_ap(
     min_value: int,
     *,
     budget: int = DEFAULT_AP_BUDGET,
-    factor_base: Optional[Collection[int]] = None,
+    factor_base: Collection[int] = (),
 ) -> int:
     """Smallest prime p = residue (mod modulus) with p > min_value.
 
@@ -507,10 +505,11 @@ def find_prime_in_ap(
     The progression is walked in windows of _WINDOW candidates.  A numpy
     pre-sieve strikes every candidate above the sieve bound that a prime up
     to the bound divides, so only the survivors pay a modexp (GMP's
-    mpz_nextprime idea).  factor_base, primes the caller knows, such as
-    those of the modulus, lets primality() prove a survivor that passes one
-    base-2 Miller-Rabin round; without it is_prime decides.  Either way only
-    composites are passed over, so the same smallest prime comes out.
+    mpz_nextprime idea).  A survivor that passes one base-2 Miller-Rabin
+    round goes to primality(), which proves it over factor_base, primes the
+    caller knows such as those of the modulus, and leaves to is_prime what
+    the base cannot prove.  Only composites are passed over, so the same
+    smallest prime comes out.
     """
     if modulus < 1:
         raise ValueError(f"modulus {modulus} must be >= 1")
