@@ -274,23 +274,51 @@ def _tower_params(num_stages: int, sum_target: float, *, stage_cap: int, **budge
 
 def _scan_block(
     field: MultiquadField, lo: int, target: float, residue_filter: Optional[tuple[int, int]],
-    *, sieve_ceiling: int, stage: int,
+    *, sieve_ceiling: int, stage: int, hi: Optional[int] = None,
 ) -> tuple[list[int], float, int]:
-    """Collect the range_terms terms from `lo` until their math.fsum
-    reaches the target; returns (block primes, block sum, last prime)."""
+    """Collect the range_terms terms from `lo` until their math.fsum reaches the
+    target; returns (block primes, block sum, last prime).  A block still short
+    at `hi` is returned with hi as its last prime; one short at the sieve ceiling raises."""
+    end = sieve_ceiling if hi is None else min(hi, sieve_ceiling)
     block: list[int] = []
     terms: list[float] = []
     for p, _, _, seg_terms in range_terms(
-        field, lo, sieve_ceiling, residue_filter=residue_filter, sieve_ceiling=sieve_ceiling
+        field, lo, end, residue_filter=residue_filter, sieve_ceiling=sieve_ceiling
     ):
         block += p.tolist()
         terms += seg_terms.tolist()
         k = first_reaching(terms, target)
         if k is not None:
             return block[:k], math.fsum(terms[:k]), block[k - 1]
+    if end == hi:  # the range ran out before the sieve did
+        return block, math.fsum(terms), hi
     raise ResourceBudgetError(
         f"stage {stage}: block scan exhausted the sieve ceiling {sieve_ceiling}"
     )
+
+
+@dataclass(frozen=True)
+class BlockShape:
+    """A tower's block rule: stage k's block holds the primes from n_{k-1} + after
+    that pass residue_filter, up to the first whose term lifts the block sum to
+    the target, and n_k is that prime plus past_last."""
+
+    after: int
+    residue_filter: Optional[tuple[int, int]]
+    past_last: int
+
+    def block(self, field: MultiquadField, n_prev: int, target: float, *, sieve_ceiling: int,
+              stage: int, n: Optional[int] = None) -> tuple[list[int], float, int]:
+        """(block primes, block sum, n_k) on `field`; a stored n_k ends the scan at the
+        last prime it admits, and a block short of the target there keeps that n_k."""
+        block, total, last = _scan_block(
+            field, n_prev + self.after, target, self.residue_filter, sieve_ceiling=sieve_ceiling,
+            stage=stage, hi=None if n is None else n - self.past_last)
+        return block, total, last + self.past_last
+
+
+DIVERGENCE_BLOCK = BlockShape(after=0, residue_filter=(3, 4), past_last=1)  # [n_{k-1}, n_k)
+SPLIT_PRIME_BLOCK = BlockShape(after=1, residue_filter=None, past_last=0)  # (n_{i-1}, n_i]
 
 
 def divergence_prescription(n: int, *, sieve_ceiling: int) -> tuple[list[int], list[int]]:
@@ -375,10 +403,8 @@ def build_divergence_tower(
     n_prev = 1
     stages: list[StageRecord] = []
     for k in range(1, num_stages + 1):
-        block, block_sum, last_p = _scan_block(
-            current, n_prev, sum_target_per_block, (3, 4), sieve_ceiling=sieve_ceiling, stage=k
-        )
-        n_k = last_p + 1
+        block, block_sum, n_k = DIVERGENCE_BLOCK.block(
+            current, n_prev, sum_target_per_block, sieve_ceiling=sieve_ceiling, stage=k)
         aux = _smallest_split_aux_prime(current, sieve_ceiling=sieve_ceiling)
         split, inert = divergence_prescription(n_k, sieve_ceiling=sieve_ceiling)
         # slack for the auxiliary prime and a mod-8 factor
@@ -506,10 +532,8 @@ def build_split_prime_tower(
     p_prev = 0
     stages: list[StageRecord] = []
     for i in range(1, num_stages + 1):
-        block, block_sum, last_p = _scan_block(
-            current, n_prev + 1, sum_target_per_block, None, sieve_ceiling=sieve_ceiling, stage=i
-        )
-        n_i = last_p
+        block, block_sum, n_i = SPLIT_PRIME_BLOCK.block(
+            current, n_prev, sum_target_per_block, sieve_ceiling=sieve_ceiling, stage=i)
         small = list(iter_primes(2, n_i, ceiling=sieve_ceiling))
         bits = 2.0 + math.fsum(map(math.log2, small))
         if bits > modulus_bit_budget:

@@ -23,9 +23,12 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .constructions import (
     CONSTRUCT_QUADRATIC,
+    DIVERGENCE_BLOCK,
     PROP71_TOWER,
+    SPLIT_PRIME_BLOCK,
     THM12_TOWER,
     TOWER_BUDGETS,
+    BlockShape,
     ConstructionTrace,
     SplittingSpec,
     StageRecord,
@@ -43,7 +46,6 @@ from .errors import VerificationError
 from .multiquadratic import MultiquadField
 from .primes import DEFAULT_SIEVE_CEILING, PROBABLE, PROVED, iter_primes, primality
 from .quadratic import SquarefreeInt
-from .series import range_terms
 
 TRACE_VERSION = 1
 
@@ -243,64 +245,43 @@ def trace_from_doc(
 # ---------------------------------------------------------------------------
 
 
-def _check_block(
-    issues: list[str], k: int, stage: dict, field: MultiquadField, lo: int, last: int,
-    residue_filter: Optional[tuple[int, int]], span: str, target: float, sieve_ceiling: int,
-) -> float:
-    """Check a stage's block against the primes of `span`, re-summed on `field`.
-
-    The block must be every prime in [lo, last] that passes the residue
-    filter, with the builders' terms.  The builder stops at the first prime
-    whose term lifts the math.fsum of the block to the target, so the block
-    must end at `last` and the sum before that prime must fall short.
-    Returns the recomputed block sum.
-    """
-    block: list[int] = []
-    terms: list[float] = []
-    for p, _, _, seg_terms in range_terms(
-        field, lo, last, residue_filter=residue_filter, sieve_ceiling=sieve_ceiling
-    ):
-        block += p.tolist()
-        terms += seg_terms.tolist()
-    stored = stage["block_sum"]
-    if block != list(stage["block_primes"]):
-        issues.append(f"stage {k}: block primes differ from the range {span}")
-    total, before_last = math.fsum(terms), math.fsum(terms[:-1])
-    if not math.isclose(total, stored, rel_tol=_STORED_SUM_REL, abs_tol=0.0):
-        issues.append(f"stage {k}: recomputed block sum {total} != stored {stored}")
-    if total < target:
-        issues.append(f"stage {k}: block sum {total} below target {target}")
-    if not block or block[-1] != last:
-        issues.append(f"stage {k}: the last block prime is not {last}")
-    elif before_last >= target:
-        issues.append(
-            f"stage {k}: block sum {before_last} before its last prime already "
-            f"reaches target {target}"
-        )
-    return total
-
-
 # Per stage, the proved field_added with its primality label, or None.
 _Proved = list[Optional[tuple[SquarefreeInt, str]]]
 
 
 def _tower_stages(
-    doc: dict, issues: list[str], proved: _Proved,
-    prescription: Callable[[int], Optional[SplittingSpec]],
-) -> Iterator[tuple[int, dict, MultiquadField, SquarefreeInt, Optional[SplittingSpec]]]:
-    """(position, stage, previous field, proved field_added, prescription) per stage.
-
-    prescription(n) is what a stage with threshold n prescribes; its primes
-    and 2 are the factor base of the generator's primality proof.  An index
-    other than the position, and a stored cumulative field other than the
-    recomputed one, are reported; a stage whose field_added fails its
-    factorization is reported and skipped.
-    """
-    previous = MultiquadField.rationals()
+    doc: dict, issues: list[str], proved: _Proved, shape: BlockShape, target: float,
+    sieve_ceiling: int, prescription: Callable[[int], Optional[SplittingSpec]],
+) -> Iterator[tuple]:
+    """(position, stage, previous field, proved field_added, prescription,
+    threshold n, block sum) per stage.  The builders' block rule runs first,
+    up to the stored threshold, and derives n; prescription(n) is the stage's
+    prescription, its primes and 2 the factor base of the generator's proof.
+    A stored block, index or cumulative field other than the derived one is
+    reported, and so is a field_added that fails its factorization: its stage
+    is skipped, and the stages after it keep their stored n and block sum."""
+    previous, n_prev = MultiquadField.rationals(), 1
     for k, stage in enumerate(doc["stages"], 1):
         if stage["index"] != k:
             issues.append(f"stage {k}: index {stage['index']} is not the stage's position")
-        spec = prescription(stage["n"])
+        n, total = stage["n"], stage["block_sum"]
+        if all(proved):  # else the stage's base field is unknown, and it keeps the stored values
+            block, total, n = shape.block(previous, n_prev, target, sieve_ceiling=sieve_ceiling,
+                                          stage=k, n=n)
+            last = stage["n"] - shape.past_last
+            if total < target:  # the first of these that holds is the stage's one block issue
+                issues.append(f"stage {k}: block sum {total} below target {target}")
+            elif n != stage["n"] and stage["block_primes"][-1:] == [last]:
+                issues.append(f"stage {k}: block sum {total} before its last prime already "
+                              f"reaches target {target}")
+            elif n != stage["n"]:
+                issues.append(f"stage {k}: the last block prime is not {last}")
+            elif block != stage["block_primes"]:
+                issues.append(f"stage {k}: block primes differ from the recomputed block")
+            elif not math.isclose(total, stage["block_sum"], rel_tol=_STORED_SUM_REL, abs_tol=0.0):
+                issues.append(f"stage {k}: recomputed block sum {total} != stored "
+                              f"{stage['block_sum']}")
+        n_prev, spec = n, prescription(n)
         try:
             added, label = _factored_from_doc(stage["field_added"], proof_factor_base(spec))
         except VerificationError as exc:
@@ -308,7 +289,7 @@ def _tower_stages(
             proved.append(None)
             continue
         proved.append((added, label))
-        yield k, stage, previous, added, spec
+        yield k, stage, previous, added, spec, n, total
         previous = previous.adjoin(added)
         if [_factored_to_doc(b) for b in previous.basis] != stage["cumulative_field"]:
             issues.append(f"stage {k}: cumulative field does not match the recomputation")
@@ -320,19 +301,16 @@ def _verify_thm12(doc: dict, target: float, sieve_ceiling: int, proved: _Proved)
         return SplittingSpec(split=split, inert=inert) if split or inert else None
 
     issues: list[str] = []
-    n_prev = 1
     sums: list[float] = []
-    for k, stage, previous, added, spec in _tower_stages(doc, issues, proved, prescription):
-        n_k = stage["n"]
-        sums.append(_check_block(issues, k, stage, previous, n_prev, n_k - 1, (3, 4),
-                                 f"[{n_prev}, {n_k})", target, sieve_ceiling))
+    for k, stage, previous, added, spec, _, total in _tower_stages(
+            doc, issues, proved, DIVERGENCE_BLOCK, target, sieve_ceiling, prescription):
+        sums.append(total)
         problems = divergence_stage_problems(previous, added, stage["auxiliary_primes"])
         if spec is not None:
             problems += prescription_problems(added, spec)
         if stage.get("widmer") is not None:
             problems.append("a divergence stage carries a discriminant-norm record")
         issues += [f"stage {k}: {msg}" for msg in problems]
-        n_prev = n_k
     # Each recomputed block sum is at least the target, and fsum and float
     # multiplication both round correctly and monotonically, so an honest
     # document meets this bound exactly, with no tolerance.
@@ -347,14 +325,11 @@ def _verify_prop71(doc: dict, target: float, sieve_ceiling: int, proved: _Proved
         return split_prime_spec(list(iter_primes(2, n, ceiling=sieve_ceiling)))
 
     issues: list[str] = []
-    n_prev = 1
     p_prev = 0
     last_log = -math.inf
-    for i, stage, previous, added, spec in _tower_stages(doc, issues, proved, prescription):
+    for i, stage, previous, added, spec, n_i, _ in _tower_stages(
+            doc, issues, proved, SPLIT_PRIME_BLOCK, target, sieve_ceiling, prescription):
         p_i = added.value
-        n_i = stage["n"]
-        _check_block(issues, i, stage, previous, n_prev + 1, n_i, None,
-                     f"({n_prev}, {n_i}]", target, sieve_ceiling)
         problems = split_prime_stage_problems(added, n_i, p_prev)
         issues += [f"stage {i}: {msg}" for msg in problems + prescription_problems(added, spec)]
         w = stage.get("widmer")
@@ -371,7 +346,7 @@ def _verify_prop71(doc: dict, target: float, sieve_ceiling: int, proved: _Proved
             if not w["log_quantity"] > last_log:
                 issues.append(f"stage {i}: discriminant-norm quantity fails to increase")
             last_log = w["log_quantity"]
-        n_prev, p_prev = n_i, p_i
+        p_prev = p_i
     return issues
 
 

@@ -165,9 +165,13 @@ class TestExitCodes:
             (["construct-quadratic", "--split", "5", "--inert", "3"],
              lambda doc: doc["stages"][0]["field_added"]["factors"].append([-1, 2]),
              "factor -1^2 is not squarefree"),
+            # past the sieve ceiling: the block rule stops at the honest block's end
+            (["thm12-tower", "--stages", "1"],
+             lambda doc: doc["stages"][0].update(n=2 * 10**8),
+             "stage 1: the last block prime is not 199999999"),
         ],
         ids=["field-added-one", "split-four", "split-missing", "split-not-a-list",
-             "factor-twice", "sign-twice", "sign-squared"],
+             "factor-twice", "sign-twice", "sign-squared", "n-past-sieve-ceiling"],
     )
     def test_rejected_document_values_are_three(self, capsys, tmp_path, check, build, edit,
                                                  issue):
@@ -184,6 +188,20 @@ class TestExitCodes:
         assert issue in diag["error"]["message"]
         if check == ["verify"]:
             assert any(issue in line for line in json.loads(out)["issues"])
+
+    @pytest.mark.parametrize("check", [["verify"],
+                                       ["adjoin-i-bound", "--prime-ceiling", "1000", "--in"]],
+                             ids=["verify", "adjoin-i-bound"])
+    def test_honest_trace_over_its_sieve_budget_is_two(self, capsys, tmp_path, check):
+        code, out, _ = capture(capsys, ["thm12-tower", "--stages", "1"])
+        assert code == 0 and json.loads(out)["stages"][0]["block_primes"][-1] == 31
+        path = tmp_path / "trace.json"
+        path.write_text(out)
+        code, out, err = capture(capsys, [*check, str(path), "--budget-sieve", "20"])
+        assert code == 2 and out == ""
+        diag = json.loads(err.strip().splitlines()[-1])
+        assert diag["error"] == {"kind": "resource",
+                                 "message": "stage 1: block scan exhausted the sieve ceiling 20"}
 
     def test_missing_file_is_one(self, capsys):
         code, _, _ = capture(capsys, ["verify", "/nonexistent/trace.json"])

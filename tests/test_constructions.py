@@ -241,6 +241,25 @@ def test_scan_block_equals_scalar_series_terms():
     terms = [series_term(field, p) for p in primes]
     assert block == primes and block[-1] == last_p and block[-1] > 1 << 14
     assert block_sum == math.fsum(terms) >= 0.3 > math.fsum(terms[:-1])
+    # An upper end past the crossing changes nothing; one before it returns
+    # the short block: every filtered prime up to it, summed below the target.
+    assert _scan_block(field, 1010, 0.3, (3, 4), sieve_ceiling=10**7, stage=0,
+                       hi=last_p + 1000) == (block, block_sum, last_p)
+    hi = last_p - 1000
+    short, short_sum, end = _scan_block(
+        field, 1010, 0.3, (3, 4), sieve_ceiling=10**7, stage=0, hi=hi
+    )
+    primes = [p for p in iter_primes(1010, hi) if p % 4 == 3]
+    assert short == primes and end == hi
+    assert short_sum == math.fsum(series_term(field, p) for p in primes) < 0.3
+
+
+@pytest.mark.parametrize("build", [build_divergence_tower, build_split_prime_tower])
+def test_block_scan_exhausting_the_sieve_ceiling_raises(build):
+    # Over Q the sum of log p/(p+1) for p <= 1000 is about 5.6, below 10.
+    with pytest.raises(ResourceBudgetError) as excinfo:
+        build(1, 10.0, sieve_ceiling=1000)
+    assert str(excinfo.value) == "stage 1: block scan exhausted the sieve ceiling 1000"
 
 
 @pytest.mark.parametrize(

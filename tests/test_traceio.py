@@ -10,7 +10,7 @@ import types
 import pytest
 from jsonschema.validators import validator_for
 
-from splitlab import traceio
+from splitlab import constructions, traceio
 from splitlab.cli import run as cli_run
 from splitlab.constructions import (
     SplittingSpec,
@@ -444,6 +444,41 @@ class TestVerification:
             assert verify_trace_doc(old) == [
                 f"stage 2: stored certificate {name!r} does not hold"
             ]
+
+
+# A stored threshold far past the honest one, below the default sieve ceiling.
+INFLATED_N = 3 * 10**7
+
+
+def _verify_counting_segments(monkeypatch, doc):
+    """verify_trace_doc(doc), and how many kernel segments its block scans read."""
+    count = 0
+    kernel = constructions.range_terms
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        for segment in kernel(*args, **kwargs):
+            count += 1
+            yield segment
+
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "range_terms", counting)
+        return verify_trace_doc(doc), count
+
+
+@pytest.mark.parametrize("name, past_last", [("thm12_doc", 1), ("prop71_doc", 0)])
+def test_inflated_threshold_costs_the_honest_scan(request, monkeypatch, name, past_last):
+    # The verifier scans no further than the builders' block rule, and takes
+    # the next stage's start from the threshold it derives, not the stored one.
+    doc = request.getfixturevalue(name)
+    issues, honest = _verify_counting_segments(monkeypatch, doc)
+    assert issues == [] and honest > 0
+    for k in (1, 2):
+        broken = copy.deepcopy(doc)
+        broken["stages"][k - 1]["n"] = INFLATED_N
+        issues, scanned = _verify_counting_segments(monkeypatch, broken)
+        assert issues == [f"stage {k}: the last block prime is not {INFLATED_N - past_last}"]
+        assert scanned == honest
 
 
 def _cli_exit_code(doc, tmp_path, *command):
