@@ -11,6 +11,7 @@ import ctypes
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -117,61 +118,140 @@ class _Mpz(ctypes.Structure):
 
 @functools.cache
 def _gmp() -> ctypes.CDLL | None:
-    """The system libgmp with the mpz calls _powmod uses typed, or None.
+    """The system libgmp with the mpz calls _MpzResidues makes typed, or None
+    when it is missing, lacks one of them, or its limbs are not the 64-bit
+    little-endian words that int.to_bytes writes.
 
     Loaded on first use: finding the library can start a subprocess.
     """
     import ctypes.util
 
     name = ctypes.util.find_library("gmp")
-    if name is None:
+    if name is None or sys.byteorder != "little" or ctypes.sizeof(ctypes.c_ulong) != 8:
         return None
     mpz = ctypes.POINTER(_Mpz)
-    size_t, c_int = ctypes.c_size_t, ctypes.c_int
-    word_args = [c_int, size_t, c_int, size_t]  # order, size, endian, nails
     try:
         lib = ctypes.CDLL(name)
+        if ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value != 64:
+            return None
         for fn, argtypes, restype in (
             (lib.__gmpz_init, [mpz], None),
             (lib.__gmpz_clear, [mpz], None),
-            (lib.__gmpz_import, [mpz, size_t, *word_args, ctypes.c_char_p], None),
-            (lib.__gmpz_export,
-             [ctypes.c_void_p, ctypes.POINTER(size_t), *word_args, mpz], ctypes.c_void_p),
+            (lib.__gmpz_roinit_n, [mpz, ctypes.c_char_p, ctypes.c_long], ctypes.c_void_p),
             (lib.__gmpz_powm, [mpz, mpz, mpz, mpz], None),
+            (lib.__gmpz_powm_ui, [mpz, mpz, ctypes.c_ulong, mpz], None),
+            (lib.__gmpz_size, [mpz], ctypes.c_size_t),
+            (lib.__gmpz_limbs_read, [mpz], ctypes.c_void_p),
         ):
             fn.argtypes, fn.restype = argtypes, restype
-    except (OSError, AttributeError):
+    except (OSError, AttributeError, ValueError):
         return None
     return lib
 
 
-# Moduli of at least this many bits go to libgmp's mpz_powm; below it CPython's
+# Residues mod n of at least this many bits live in libgmp; below it CPython's
 # pow is as fast as the ctypes round trip. Measured with GMP 6.2.1 on a 2-vCPU
 # x86-64 VM: both take ~22 us at 80 bits, and GMP is ~7x faster at 512-1024.
 GMP_MIN_BITS = 96
 
 
-def _powmod(a: int, e: int, n: int) -> int:
-    """a**e mod n for e >= 0 and n >= 1; libgmp for large n when it loads, else pow.
+class _IntResidues:
+    """Residues mod n as ints, raised by CPython's pow."""
 
-    The mpz values live only for this call, so the function is reentrant.
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __enter__(self) -> "_IntResidues":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        pass
+
+    def value(self, x: int) -> int:
+        return x % self.n
+
+    def pow(self, x: int, e: int) -> int:
+        return pow(x, e, self.n)
+
+    def to_int(self, x: int) -> int:
+        return x
+
+
+class _MpzResidues:
+    """Residues mod n as libgmp mpz values.
+
+    An int enters as a read-only view over its own limbs (mpz_roinit_n), so
+    nothing is copied or allocated for it; each power is a fresh mpz, and
+    leaving the with block clears every one of them, also when a call inside
+    it raised.  All state lives in the instance, so concurrent users each
+    hold their own.
     """
+
+    def __init__(self, gmp: ctypes.CDLL, n: int) -> None:
+        # getattr, since gmp.__gmpz_init inside a class body would be name-mangled
+        names = ("init", "clear", "roinit_n", "powm", "powm_ui", "size", "limbs_read")
+        (self._init, self._clear, self._roinit, self._powm, self._powm_ui, self._size,
+         self._limbs) = (getattr(gmp, "__gmpz_" + name) for name in names)
+        self._made: list[_Mpz] = []
+        self._viewed: list[bytes] = []  # the limbs the views read, kept alive
+        self._n = n
+        self.n = self._view(n)
+
+    def __enter__(self) -> "_MpzResidues":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        for z in self._made:
+            self._clear(z)
+        self._made.clear()
+
+    def _view(self, x: int) -> _Mpz:
+        """A read-only mpz over the limbs of x >= 0."""
+        size = (x.bit_length() + 63) // 64
+        raw = x.to_bytes(8 * size, "little")
+        self._viewed.append(raw)
+        z = _Mpz()
+        self._roinit(z, raw, size)
+        return z
+
+    def value(self, x: int) -> _Mpz:
+        return self._view(x % self._n)
+
+    def pow(self, x: _Mpz, e: int) -> _Mpz:
+        z = _Mpz()
+        self._init(z)
+        self._made.append(z)
+        if e >> 64:
+            self._powm(z, x, self._view(e), self.n)
+        else:
+            self._powm_ui(z, x, e, self.n)
+        return z
+
+    def to_int(self, x: _Mpz) -> int:
+        return int.from_bytes(ctypes.string_at(self._limbs(x), 8 * self._size(x)), "little")
+
+
+_Residues = _IntResidues | _MpzResidues
+
+
+def _residues(n: int) -> _Residues:
+    """Residues mod n >= 1, as a context manager: libgmp's when n has
+    GMP_MIN_BITS bits and the library loads, else CPython's."""
     if n.bit_length() < GMP_MIN_BITS or (gmp := _gmp()) is None:
-        return pow(a, e, n)
-    z = (_Mpz * 4)()
-    for v in z:
-        gmp.__gmpz_init(v)
-    try:
-        for v, x in zip(z, (a % n, e, n)):
-            raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
-            gmp.__gmpz_import(v, len(raw), -1, 1, 0, 0, raw)
-        gmp.__gmpz_powm(z[3], z[0], z[1], z[2])
-        out = ctypes.create_string_buffer((n.bit_length() + 7) // 8)  # zero-filled
-        gmp.__gmpz_export(out, None, -1, 1, 0, 0, z[3])
-        return int.from_bytes(out.raw, "little")
-    finally:
-        for v in z:
-            gmp.__gmpz_clear(v)
+        return _IntResidues(n)
+    return _MpzResidues(gmp, n)
+
+
+def _powmod(a: int, e: int, n: int) -> int:
+    """a**e mod n for e >= 0 and n >= 1.
+
+    One power in a _residues(n) of its own: with libgmp, a, e and n enter as
+    read-only views over their limbs, and the one mpz made, the result, is
+    cleared on return.  A caller with many powers mod the same n, such as
+    the n - 1 proof, keeps them in one _residues(n) instead.
+    """
+    with _residues(n) as ring:
+        return ring.to_int(ring.pow(ring.value(a), e))
 
 
 def _mr_round(n: int, a: int) -> bool:
@@ -253,18 +333,19 @@ PROVED = "proved"
 PROBABLE = "probable"
 
 
-def _cofactor_powers(x: int, powers: Sequence[tuple[int, int]], n: int) -> list[int]:
-    """x**(F/q) mod n for each (q, q**v) in powers, F the product of the q**v.
+def _cofactor_powers(x, powers: Sequence[tuple[int, int]], ring: _Residues) -> list:
+    """x**(F/q) for each (q, q**v) in powers, F the product of the q**v, with x
+    and the results residues of ring.
 
     A remainder tree: each half is raised to the other half's product, so
     every level's exponents together have about F's bits.
     """
     if len(powers) == 1:
         q, qv = powers[0]
-        return [x if qv == q else _powmod(x, qv // q, n)]
+        return [x if qv == q else ring.pow(x, qv // q)]
     left, right = powers[: len(powers) // 2], powers[len(powers) // 2 :]
-    return (_cofactor_powers(_powmod(x, math.prod(qv for _, qv in right), n), left, n)
-            + _cofactor_powers(_powmod(x, math.prod(qv for _, qv in left), n), right, n))
+    return (_cofactor_powers(ring.pow(x, math.prod(qv for _, qv in right)), left, ring)
+            + _cofactor_powers(ring.pow(x, math.prod(qv for _, qv in left)), right, ring))
 
 
 def _pocklington_holds(n: int, powers: Sequence[tuple[int, int]]) -> Optional[bool]:
@@ -274,7 +355,9 @@ def _pocklington_holds(n: int, powers: Sequence[tuple[int, int]]) -> Optional[bo
     base was found for some q.
 
     The first base is the smallest a with Jacobi symbol (a|n) = -1, which
-    serves q = 2 for every prime n; a q it misses retries the MR bases.
+    serves q = 2 for every prime n; a q it misses retries the MR bases.  The
+    residues stay in _residues(n) from a**((n-1)/F) to the leaves of the
+    tree; only the values the checks read come back as ints.
     """
     a = 2
     while (symbol := kronecker(a, n)) == 1:
@@ -282,19 +365,21 @@ def _pocklington_holds(n: int, powers: Sequence[tuple[int, int]]) -> Optional[bo
     if symbol == 0:  # a < n shares a factor with n
         return False
     f = math.prod(qv for _, qv in powers)
-    ys = _cofactor_powers(_powmod(a, (n - 1) // f, n), powers, n)
-    if _powmod(ys[0], powers[0][0], n) != 1:  # a**(n-1) != 1
-        return False
-    for (q, _), y in zip(powers, ys):
-        bases = iter(_MR_BASES)
-        while (g := math.gcd(y - 1, n)) == n:  # y = 1: this base says nothing about q
-            if (b := next(bases, None)) is None:
-                return None
-            y = _powmod(b, (n - 1) // q, n)
-            if _powmod(y, q, n) != 1:
-                return False
-        if g != 1:
+    with _residues(n) as ring:
+        leaves = _cofactor_powers(ring.pow(ring.value(a), (n - 1) // f), powers, ring)
+        if ring.to_int(ring.pow(leaves[0], powers[0][0])) != 1:  # a**(n-1) != 1
             return False
+        for (q, _), y in zip(powers, leaves):
+            bases = iter(_MR_BASES)
+            # y = 1: this base says nothing about q
+            while (g := math.gcd(ring.to_int(y) - 1, n)) == n:
+                if (b := next(bases, None)) is None:
+                    return None
+                y = ring.pow(ring.value(b), (n - 1) // q)
+                if ring.to_int(ring.pow(y, q)) != 1:
+                    return False
+            if g != 1:
+                return False
     return True
 
 

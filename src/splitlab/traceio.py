@@ -206,6 +206,29 @@ def _shape_errors(schema: Any, value: Any, path: str) -> Iterator[str]:
             yield from _shape_errors(sub, item, f"{path}[{i}]")
 
 
+def _float_integers(schema: Any, value: Any, path: str) -> Iterator[str]:
+    """Each place where `schema` asks for an integer and `value` holds a float
+    such as 32.0.  JSON Schema, and so validate_schema, counts 32.0 an
+    integer; the verifier, which computes with ints, refuses it."""
+    if isinstance(schema, bool):
+        return
+    if "$ref" in schema:
+        target = _schema()["$defs"][schema["$ref"].removeprefix("#/$defs/")]
+        yield from _float_integers(target, value, path)
+    if schema.get("type") == "integer" and isinstance(value, float):
+        yield f"{path} is {value!r}, not an integer"
+    for sub in schema.get("oneOf", ()):
+        yield from _float_integers(sub, value, path)
+    if isinstance(value, dict):
+        for key, item in value.items():
+            sub = schema.get("properties", {}).get(key, schema.get("additionalProperties", True))
+            yield from _float_integers(sub, item, f"{path}.{key}")
+    elif isinstance(value, list):
+        subs = schema.get("prefixItems", []) + [schema.get("items", True)] * len(value)
+        for i, (sub, item) in enumerate(zip(subs, value)):
+            yield from _float_integers(sub, item, f"{path}[{i}]")
+
+
 def validate_schema(doc: Any) -> None:
     """Raise ValueError naming the JSON path where `doc` first breaks the schema."""
     error = next(_shape_errors(_schema(), doc, "$"), None)
@@ -354,7 +377,7 @@ def _verify_tower(doc: dict, sieve_ceiling: int, proved: _Proved) -> list[str]:
     """A tower's params must be ones its builder accepts, then its stages verify."""
     issues: list[str] = []
     params, count = doc["params"], len(doc["stages"])
-    if params.get("stages") != count:
+    if params.get("stages") != count or type(params.get("stages")) is not int:
         issues.append(f"params: stages is {params.get('stages')!r}, the trace has {count}")
     target = params.get("sum_target", 1.0)
     if not (isinstance(target, (int, float)) and valid_sum_target(target)):
@@ -376,6 +399,8 @@ def _verify_quadratic(doc: dict, proved: _Proved) -> list[str]:
         return [f"params: missing {exc.args[0]!r}"]
     except (TypeError, ValueError) as exc:
         return [f"params: {exc}"]
+    if floats := [p for p in spec.split | spec.inert | spec.ramified if type(p) is not int]:
+        return [f"params: prime {floats[0]!r} is not an integer"]
     try:
         m, label = _factored_from_doc(doc["stages"][0]["field_added"], proof_factor_base(spec))
     except VerificationError as exc:
@@ -402,7 +427,9 @@ def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], _Proved]:
     """The verifier's walk: the issues found, and per stage the proved
     field_added with its primality label, or None where it was refused."""
     validate_schema(doc)
-    issues: list[str] = []
+    if issues := list(_float_integers(_schema(), doc, "$")):
+        return issues, []
+    issues = []
     # Older documents stored verdict flags; one that reads false is still an issue.
     for where, certs in [("trace", doc["certificates"])] + [
         (f"stage {k}", s["certified_inequalities"]) for k, s in enumerate(doc["stages"], 1)
