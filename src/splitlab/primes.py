@@ -11,7 +11,6 @@ import ctypes
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -125,6 +124,7 @@ def _gmp() -> ctypes.CDLL | None:
     Loaded on first use: finding the library can start a subprocess.
     """
     import ctypes.util
+    import sys
 
     name = ctypes.util.find_library("gmp")
     if name is None or sys.byteorder != "little" or ctypes.sizeof(ctypes.c_ulong) != 8:
@@ -159,7 +159,7 @@ class _IntResidues:
     """Residues mod n as ints, raised by CPython's pow."""
 
     def __init__(self, n: int) -> None:
-        self.n = n
+        self._n = n
 
     def __enter__(self) -> "_IntResidues":
         return self
@@ -168,10 +168,10 @@ class _IntResidues:
         pass
 
     def value(self, x: int) -> int:
-        return x % self.n
+        return x % self._n
 
     def pow(self, x: int, e: int) -> int:
-        return pow(x, e, self.n)
+        return pow(x, e, self._n)
 
     def to_int(self, x: int) -> int:
         return x
@@ -195,7 +195,7 @@ class _MpzResidues:
         self._made: list[_Mpz] = []
         self._viewed: list[bytes] = []  # the limbs the views read, kept alive
         self._n = n
-        self.n = self._view(n)
+        self._n_mpz = self._view(n)
 
     def __enter__(self) -> "_MpzResidues":
         return self
@@ -222,9 +222,9 @@ class _MpzResidues:
         self._init(z)
         self._made.append(z)
         if e >> 64:
-            self._powm(z, x, self._view(e), self.n)
+            self._powm(z, x, self._view(e), self._n_mpz)
         else:
-            self._powm_ui(z, x, e, self.n)
+            self._powm_ui(z, x, e, self._n_mpz)
         return z
 
     def to_int(self, x: _Mpz) -> int:

@@ -399,8 +399,8 @@ def _verify_quadratic(doc: dict, proved: _Proved) -> list[str]:
         return [f"params: missing {exc.args[0]!r}"]
     except (TypeError, ValueError) as exc:
         return [f"params: {exc}"]
-    if floats := [p for p in spec.split | spec.inert | spec.ramified if type(p) is not int]:
-        return [f"params: prime {floats[0]!r} is not an integer"]
+    if not_ints := [p for p in spec.split | spec.inert | spec.ramified if type(p) is not int]:
+        return [f"params: prime {not_ints[0]!r} is not an integer"]
     try:
         m, label = _factored_from_doc(doc["stages"][0]["field_added"], proof_factor_base(spec))
     except VerificationError as exc:
@@ -427,9 +427,9 @@ def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], _Proved]:
     """The verifier's walk: the issues found, and per stage the proved
     field_added with its primality label, or None where it was refused."""
     validate_schema(doc)
-    if issues := list(_float_integers(_schema(), doc, "$")):
+    issues = list(_float_integers(_schema(), doc, "$"))
+    if issues:  # the walk below computes with these values as ints
         return issues, []
-    issues = []
     # Older documents stored verdict flags; one that reads false is still an issue.
     for where, certs in [("trace", doc["certificates"])] + [
         (f"stage {k}", s["certified_inequalities"]) for k, s in enumerate(doc["stages"], 1)

@@ -169,9 +169,26 @@ class TestExitCodes:
             (["thm12-tower", "--stages", "1"],
              lambda doc: doc["stages"][0].update(n=2 * 10**8),
              "stage 1: the last block prime is not 199999999"),
+            # JSON Schema counts 32.0 an integer; the verifier refuses it
+            (["thm12-tower", "--stages", "1"], lambda doc: doc["stages"][0].update(n=32.0),
+             "$.stages[0].n is 32.0, not an integer"),
+            (["prop71-tower", "--stages", "2"], lambda doc: doc["stages"][1].update(n=32.0),
+             "$.stages[1].n is 32.0, not an integer"),
+            (["thm12-tower", "--stages", "1"],
+             lambda doc: doc["stages"][0].update(auxiliary_primes=[5.0]),
+             "$.stages[0].auxiliary_primes[0] is 5.0, not an integer"),
+            (["thm12-tower", "--stages", "1"], lambda doc: doc["stages"][0].update(index=1.0),
+             "$.stages[0].index is 1.0, not an integer"),
+            (["thm12-tower", "--stages", "1"],
+             lambda doc: doc["stages"][0]["block_primes"].__setitem__(0, 3.0),
+             "$.stages[0].block_primes[0] is 3.0, not an integer"),
+            (["construct-quadratic", "--split", "5", "--inert", "3"],
+             lambda doc: doc["params"].update(inert=[3.0]), "params: prime 3.0 is not an integer"),
         ],
         ids=["field-added-one", "split-four", "split-missing", "split-not-a-list",
-             "factor-twice", "sign-twice", "sign-squared", "n-past-sieve-ceiling"],
+             "factor-twice", "sign-twice", "sign-squared", "n-past-sieve-ceiling",
+             "n-float-stage-1", "n-float-stage-2", "auxiliary-prime-float", "index-float",
+             "block-prime-float", "inert-prime-float"],
     )
     def test_rejected_document_values_are_three(self, capsys, tmp_path, check, build, edit,
                                                  issue):

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import random
 
@@ -172,6 +173,43 @@ class TestIsPrime:
                 assert primes_mod._powmod(a, e, n) == pow(a, e, n), (a, e, n)
             assert primes_mod._powmod(a, 0, n) == pow(a, 0, n)
 
+    def test_both_backends_agree_on_the_tree(self, monkeypatch):
+        # The remainder tree and the proofs over it, in libgmp and in pow.
+        # Leaf exponents q**(v-1) run from 1 to 2**64 and 5**29 > 2**64, so
+        # nodes take both mpz_powm_ui and mpz_powm; x = 0 and x >= n reduce.
+        if primes_mod._gmp() is None:
+            pytest.skip("libgmp is not installed, so pow is the only modexp path")
+        powers = [(2, 2**65), (3, 3**2), (5, 5**30), (2**61 - 1, 2**61 - 1), (7, 7)]
+
+        def tree(x, powers, n):
+            with primes_mod._residues(n) as ring:
+                leaves = primes_mod._cofactor_powers(ring.value(x), powers, ring)
+                return [ring.to_int(y) for y in leaves]
+
+        rng = random.Random(19)
+        cases = []
+        for bits in (96, 97, 4800):
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            for x in (0, 1, rng.randrange(n), n + 5, 3 * n + 2):
+                for k in (1, 2, len(powers)):
+                    cases.append((x, powers[:k], n))
+        # the first primes 1 mod 4 * 3 * 5 * ... * 47 at 96 and 97 bits, and the
+        # numbers after them in the progression, most of them composite
+        base = [2, *iter_primes(3, 47)]
+        modulus = 4 * math.prod(base[1:])
+        numbers = [find_prime_in_ap(1, modulus, 2**95) + k * modulus for k in range(12)]
+        numbers += [find_prime_in_ap(1, modulus, 2**96) + k * modulus for k in range(12)]
+        assert {n.bit_length() for n in numbers} == {96, 97} and min(numbers) > MR_PROVEN_BOUND
+
+        with_gmp = [tree(*case) for case in cases], [primality(n, base) for n in numbers]
+        monkeypatch.setattr(primes_mod, "_gmp", lambda: None)
+        assert ([tree(*case) for case in cases], [primality(n, base) for n in numbers]) == with_gmp
+        for (x, powers, n), leaves in zip(cases, with_gmp[0]):
+            f = math.prod(qv for _, qv in powers)
+            assert leaves == [pow(x, f // q, n) for q, _ in powers]
+        assert with_gmp[1] == [PROVED if is_prime(n) else None for n in numbers]
+        assert PROVED in with_gmp[1] and None in with_gmp[1]
+
 
 def _n_minus_1_primes(n):
     return [p for p, _ in FactoredInt.from_int(n - 1).factors]
@@ -223,6 +261,66 @@ class TestPrimality:
         # Both sides of the optional libgmp branch give the same verdicts.
         monkeypatch.setattr(primes_mod, "_gmp", lambda: None)
         assert [primality(n, base) for n, base, _ in cases] == [v for _, _, v in cases]
+
+    def test_a_proof_converts_n_once_and_clears_every_mpz(self, monkeypatch):
+        # Every libgmp call a proof makes, through a counting wrapper: n enters
+        # once, as a read-only view, and each mpz initialised is cleared, also
+        # when a call inside the tree raises.
+        lib = primes_mod._gmp()
+        if lib is None:
+            pytest.skip("libgmp is not installed, so pow is the only modexp path")
+        calls, fail_at = [], []
+
+        class CountingGmp:
+            def __getattr__(self, name):
+                fn = getattr(lib, name)
+
+                def counted(*args):
+                    calls.append((name, args))
+                    if name == "__gmpz_powm_ui" and len(calls) in fail_at:
+                        raise RuntimeError("libgmp call failed")
+                    return fn(*args)
+                return counted
+
+        def made(name):
+            return sorted(ctypes.addressof(args[0]) for fn, args in calls if fn == name)
+
+        monkeypatch.setattr(primes_mod, "_gmp", CountingGmp)
+        p = find_prime_in_ap(1, MODULUS, MODULUS**2)
+        calls.clear()
+        assert primality(p, SMALL_PRIMES) == PROVED
+        size = (p.bit_length() + 63) // 64
+        views_of_p = [args for fn, args in calls if fn == "__gmpz_roinit_n"
+                      and args[2] == size and int.from_bytes(args[1], "little") == p]
+        assert len(views_of_p) == 1
+        assert len(made("__gmpz_init")) > len(SMALL_PRIMES) and made("__gmpz_init") == made(
+            "__gmpz_clear")
+        assert not {"__gmpz_import", "__gmpz_export"} & {fn for fn, _ in calls}
+
+        powm_ui_at = [i + 1 for i, (fn, _) in enumerate(calls) if fn == "__gmpz_powm_ui"]
+        calls.clear()
+        fail_at.append(powm_ui_at[len(powm_ui_at) // 2])  # a node halfway through the tree
+        with pytest.raises(RuntimeError, match="libgmp call failed"):
+            primality(p, SMALL_PRIMES)
+        assert made("__gmpz_init") and made("__gmpz_init") == made("__gmpz_clear")
+
+    def test_gmp_falls_back_to_pow_when_a_symbol_is_missing(self, monkeypatch):
+        if primes_mod._gmp() is None:
+            pytest.skip("libgmp is not installed, so pow is the only modexp path")
+
+        class WithoutLimbsRead(ctypes.CDLL):
+            def __getattr__(self, name):
+                if name == "__gmpz_limbs_read":
+                    raise AttributeError(name)
+                return super().__getattr__(name)
+
+        monkeypatch.setattr(ctypes, "CDLL", WithoutLimbsRead)
+        uncached = primes_mod._gmp.__wrapped__
+        assert uncached() is None
+        monkeypatch.setattr(primes_mod, "_gmp", uncached)
+        p = find_prime_in_ap(1, MODULUS, MODULUS**2)
+        assert isinstance(primes_mod._residues(p), primes_mod._IntResidues)
+        assert primality(p, SMALL_PRIMES) == PROVED
 
     def test_complex_signature_generator_is_probable(self):
         # signed = -1 puts t = -1, not 1, mod every split prime, so the split
