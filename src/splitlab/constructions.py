@@ -85,6 +85,8 @@ class SplittingSpec:
         sets = (self.split, self.inert, self.ramified)
         for name, s in zip(("split", "inert", "ramified"), sets):
             for p in s:
+                if type(p) is not int:
+                    raise ValueError(f"prime {p!r} is not an integer")
                 if p == 2 or not is_prime(p):
                     raise ValueError(f"{name} set must contain odd primes, got {p}")
         if self.split & self.inert or self.split & self.ramified or self.inert & self.ramified:
@@ -208,6 +210,12 @@ class WidmerTerm:
             return None
 
 
+def widmer_term(stage: int, p: int) -> WidmerTerm:
+    """The discriminant-norm record of a split-prime stage whose generator is the prime p."""
+    return WidmerTerm(stage=stage, norm_base=p, norm_exponent=1 << (stage - 1),
+                      log_quantity=math.log(p) / 4.0)
+
+
 @dataclass(frozen=True)
 class StageRecord:
     index: int
@@ -223,8 +231,8 @@ class StageRecord:
 @dataclass
 class ConstructionTrace:
     """A construction's stages.  It comes from a builder, which raises on any
-    stage that breaks its rule, or from traceio.trace_from_doc, which verifies
-    the document first."""
+    stage that breaks its rule, or from traceio.trace_from_doc, whose records
+    are the ones the verifier derived."""
 
     construction: str
     params: dict
@@ -492,7 +500,7 @@ def split_prime_stage_problems(added: SquarefreeInt, n: int, p_prev: int) -> lis
     its prescription is checked apart."""
     p = added.value
     problems = []
-    if added.atoms != {p}:
+    if p < 2 or added.atoms != {p}:
         problems.append(f"field_added {p} is not one positive prime")
     if p % 4 != 1:
         problems.append(f"prime {p} is not 1 mod 4")
@@ -549,12 +557,6 @@ def build_split_prime_tower(
         if problems:
             raise VerificationError(f"stage {i}: " + "; ".join(problems))
         grown = current.adjoin(added)
-        widmer = WidmerTerm(
-            stage=i,
-            norm_base=p_i,
-            norm_exponent=1 << (i - 1),
-            log_quantity=math.log(p_i) / 4.0,
-        )
         stages.append(
             StageRecord(
                 index=i,
@@ -564,7 +566,7 @@ def build_split_prime_tower(
                 cumulative_field=grown,
                 block_primes=tuple(block),
                 block_sum=block_sum,
-                widmer=widmer,
+                widmer=widmer_term(i, p_i),
             )
         )
         current, n_prev, p_prev = grown, n_i, p_i

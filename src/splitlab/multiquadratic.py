@@ -21,8 +21,6 @@ from .primes import kronecker
 
 _CLASS_ENUM_CAP = 20
 
-Atoms = frozenset
-
 
 def _atom_key(a: int) -> tuple[int, int]:
     # -1 sorts before every prime
@@ -140,36 +138,10 @@ def is_totally_real(field: MultiquadField) -> bool:
 # Local data
 # ---------------------------------------------------------------------------
 
-# The eight 2-adic square classes (see quadratic.two_adic_class), named by
-# their representatives {1, 5, -1, -5, 2, 10, -2, -10}.
-_TWO_ADIC_NAMES = {
-    (0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): 5, (1, 1, 0): -5,
-    (0, 0, 1): 2, (1, 0, 1): -2, (0, 1, 1): 10, (1, 1, 1): -10,
-}
-
-
-def two_adic_class_name(m: int) -> int:
-    return _TWO_ADIC_NAMES[two_adic_class(m)]
-
-
-def _gf2_span_rank_and_membership(
-    vectors: list[tuple[int, int, int]], target: tuple[int, int, int]
-) -> tuple[int, bool]:
-    """Rank of the span of 3-bit vectors and whether target lies in it."""
-    packed = [v[0] | v[1] << 1 | v[2] << 2 for v in vectors]
-    t = target[0] | target[1] << 1 | target[2] << 2
-    basis: list[int] = []
-    for v in packed:
-        for b in basis:
-            if (v ^ b) < v:
-                v ^= b
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    for b in basis:
-        if (t ^ b) < t:
-            t ^= b
-    return len(basis), t == 0
+# The atom sets of the eight 2-adic class representatives (see
+# quadratic.two_adic_class): the images of the classes in Q_2* / (Q_2*)^2.
+_TWO_ADIC_ATOMS = {r: SquarefreeInt.from_int(r).atoms for r in (5, -1, -5, 2, 10, -2, -10)}
+_TWO_ADIC_ATOMS[1] = frozenset()
 
 
 def _class_symbol_mod(atoms: frozenset[int], p: int) -> int:
@@ -184,12 +156,11 @@ def local_data(field: MultiquadField, p: int) -> LocalData:
     """(e, f, g) at p; e and f lie in {1, 2} for odd p, e in {1, 2, 4} at p = 2."""
     deg = field.degree
     if p == 2:
-        images = [two_adic_class(b.value) for b in field.basis]
-        rank, has_five = _gf2_span_rank_and_membership(images, (0, 1, 0))
-        ef = 1 << rank  # local degree [completion : Q_2]
-        f = 2 if has_five else 1
-        e = ef // f
-        return LocalData(e, f, deg // ef)
+        # The image's rank r gives the local degree e*f = 2**r; f = 2 iff 5 lies in it.
+        images = [_TWO_ADIC_ATOMS[two_adic_class(b.value)] for b in field.basis]
+        rank = len(_reduce_rows(images))
+        f = 2 if len(_reduce_rows(images + [_TWO_ADIC_ATOMS[5]])) == rank else 1
+        return LocalData((1 << rank) // f, f, deg >> rank)
     vectors = field._vectors()
     ramified = [v for v in vectors if p in v]
     free = [v for v in vectors if p not in v]

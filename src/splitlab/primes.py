@@ -242,23 +242,13 @@ def _residues(n: int) -> _Residues:
     return _MpzResidues(gmp, n)
 
 
-def _powmod(a: int, e: int, n: int) -> int:
-    """a**e mod n for e >= 0 and n >= 1.
-
-    One power in a _residues(n) of its own: with libgmp, a, e and n enter as
-    read-only views over their limbs, and the one mpz made, the result, is
-    cleared on return.  A caller with many powers mod the same n, such as
-    the n - 1 proof, keeps them in one _residues(n) instead.
-    """
-    with _residues(n) as ring:
-        return ring.to_int(ring.pow(ring.value(a), e))
-
-
-def _mr_round(n: int, a: int) -> bool:
+def _mr_round(ring: _Residues, n: int, a: int) -> bool:
+    """One strong-probable-prime round to base a, its power in ring, the
+    caller's _residues(n): a proof's many rounds share one view of n."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    x = _powmod(a, d, n)
+    x = ring.to_int(ring.pow(ring.value(a), d))
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -321,8 +311,8 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < _TINY_PRIMES[-1] ** 2:  # a composite this small has a tiny factor
         return True
-    for a in _MR_BASES:
-        if not _mr_round(n, a):
+    with _residues(n) as ring:
+        if not all(_mr_round(ring, n, a) for a in _MR_BASES):
             return False
     if n < MR_PROVEN_BOUND:
         return True
@@ -570,7 +560,12 @@ def _presieve_bound(bits: int) -> int:
 def _survivor_is_prime(n: int, factor_base: Collection[int]) -> bool:
     """Whether a candidate n >= 2 that survived the pre-sieve is prime: one
     base-2 round, then primality's proof, which falls back to is_prime."""
-    return n == 2 or _mr_round(n, 2) and primality(n, factor_base) is not None
+    if n == 2:
+        return True
+    with _residues(n) as ring:
+        if not _mr_round(ring, n, 2):
+            return False
+    return primality(n, factor_base) is not None
 
 
 def find_prime_in_ap(

@@ -80,20 +80,21 @@ def discriminant(field: SquarefreeInt) -> int:
     return m if m % 4 == 1 else 4 * m
 
 
-# Square classes of the 2-adic field, written (-1)^a 5^b 2^c: the odd part's
-# residue mod 8 gives (a, b), the parity of the exponent of 2 gives c.
-_TWO_ADIC_ODD = {1: (0, 0), 3: (1, 1), 5: (0, 1), 7: (1, 0)}
+# Square classes of the 2-adic field, named by their representatives
+# {1, 5, -1, -5, 2, 10, -2, -10}: the odd part's residue mod 8 gives the odd
+# representative, the parity of the exponent of 2 whether it is doubled.
+_TWO_ADIC_ODD = {1: 1, 3: -5, 5: 5, 7: -1}
 
 # 2 splits for the trivial class, is inert for the class of 5 and ramifies for the other six.
-_TWO_ADIC_SPLITTING = {(0, 0, 0): SplittingType.SPLIT, (0, 1, 0): SplittingType.INERT}
+_TWO_ADIC_SPLITTING = {1: SplittingType.SPLIT, 5: SplittingType.INERT}
 
 
-def two_adic_class(m: int) -> tuple[int, int, int]:
-    """Image of a squarefree m in Q_2* / (Q_2*)^2 as exponents of (-1, 5, 2)."""
+def two_adic_class(m: int) -> int:
+    """Representative of a squarefree m's class in Q_2* / (Q_2*)^2."""
     if m == 0:
         raise ValueError("0 has no square class")
     c = 1 - m % 2
-    return (*_TWO_ADIC_ODD[(m >> c) % 8], c)
+    return _TWO_ADIC_ODD[(m >> c) % 8] << c
 
 
 def splitting_type(field: SquarefreeInt, p: int) -> SplittingType:

@@ -3,13 +3,13 @@
 The wire format is pinned by trace_schema.json next to this module.  Output is
 canonical (sorted keys, two-space indent, trailing newline) so identical runs
 are byte-identical.  verify_trace_doc() re-derives every stage check from
-scratch with the builders' own stage rules, and trace_from_doc() rebuilds
-objects only from a document it accepts; trace_to_doc() alone gives a document
-its shape.  Documents store no verdicts: the flag lists stay empty, and a
-false flag in an older document is still reported.  Each generator's primes
-are proved over a factor base the verifier derives from the prescription,
-never from the document; verify_with_primality() says which were only
-probable.
+scratch with the builders' own stage rules, and trace_from_doc() returns the
+stage records it derived, only for a document it accepts; trace_to_doc() alone
+gives a document its shape.  Documents store no verdicts: the flag lists stay
+empty, and a false flag in an older document is still reported.  Each
+generator's primes are proved over a factor base the verifier derives from
+the prescription, never from the document; verify_with_primality() says
+which were only probable.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .constructions import (
     ConstructionTrace,
     SplittingSpec,
     StageRecord,
-    WidmerTerm,
     _tower_params,
     divergence_prescription,
     divergence_stage_problems,
@@ -41,6 +40,7 @@ from .constructions import (
     split_prime_spec,
     split_prime_stage_problems,
     valid_sum_target,
+    widmer_term,
 )
 from .errors import VerificationError
 from .multiquadratic import MultiquadField
@@ -145,6 +145,13 @@ def trace_to_doc(trace: ConstructionTrace) -> dict:
     }
 
 
+def _quadratic_stage(m: SquarefreeInt) -> StageRecord:
+    """The one stage of a prescribed-quadratic trace: Q(sqrt(m)) over Q."""
+    return StageRecord(index=1, n=0, auxiliary_primes=(), field_added=m,
+                       cumulative_field=MultiquadField.from_generators([m]), block_primes=(),
+                       block_sum=0.0)
+
+
 def quadratic_doc(spec: SplittingSpec, m: SquarefreeInt) -> dict:
     """Prescribed-quadratic result in the common trace envelope.
 
@@ -153,11 +160,7 @@ def quadratic_doc(spec: SplittingSpec, m: SquarefreeInt) -> dict:
     """
     params = {key: getattr(spec, key) for key in _SPEC_PARAMS}
     params.update((key, sorted(params[key])) for key in ("split", "inert", "ramified"))
-    stage = StageRecord(
-        index=1, n=0, auxiliary_primes=(), field_added=m,
-        cumulative_field=MultiquadField.from_generators([m]), block_primes=(), block_sum=0.0,
-    )
-    doc = trace_to_doc(ConstructionTrace(CONSTRUCT_QUADRATIC, params, (stage,)))
+    doc = trace_to_doc(ConstructionTrace(CONSTRUCT_QUADRATIC, params, (_quadratic_stage(m),)))
     return {**doc, "m": m.value, "verified": True}
 
 
@@ -239,28 +242,13 @@ def validate_schema(doc: Any) -> None:
 def trace_from_doc(
     doc: dict, *, sieve_ceiling: int = DEFAULT_SIEVE_CEILING
 ) -> ConstructionTrace:
-    """Rebuild a trace from a document the verifier accepts, else raise
-    VerificationError; cumulative fields come from the proved generators."""
+    """The trace of a document the verifier accepts, with the stage records it
+    derived, else raise VerificationError."""
     issues, proved = _verify(doc, sieve_ceiling)
     if issues:
         raise VerificationError("; ".join(issues[:5]))
-    field = MultiquadField.rationals()
-    stages = []
-    for s, (added, _) in zip(doc["stages"], proved):
-        field = field.adjoin(added)
-        stages.append(
-            StageRecord(
-                index=s["index"],
-                n=s["n"],
-                auxiliary_primes=tuple(s["auxiliary_primes"]),
-                field_added=added,
-                cumulative_field=field,
-                block_primes=tuple(s["block_primes"]),
-                block_sum=s["block_sum"],
-                widmer=None if s.get("widmer") is None else WidmerTerm(**s["widmer"]),
-            )
-        )
-    return ConstructionTrace(doc["construction"], dict(doc["params"]), tuple(stages))
+    stages = tuple(record for record, _ in proved)
+    return ConstructionTrace(doc["construction"], dict(doc["params"]), stages)
 
 
 # ---------------------------------------------------------------------------
@@ -268,26 +256,30 @@ def trace_from_doc(
 # ---------------------------------------------------------------------------
 
 
-# Per stage, the proved field_added with its primality label, or None.
-_Proved = list[Optional[tuple[SquarefreeInt, str]]]
+# Per stage, the derived stage record with its generator's primality label,
+# or None where the generator was refused.
+_Proved = list[Optional[tuple[StageRecord, str]]]
 
 
 def _tower_stages(
     doc: dict, issues: list[str], proved: _Proved, shape: BlockShape, target: float,
     sieve_ceiling: int, prescription: Callable[[int], Optional[SplittingSpec]],
-) -> Iterator[tuple]:
-    """(position, stage, previous field, proved field_added, prescription,
-    threshold n, block sum) per stage.  The builders' block rule runs first,
-    up to the stored threshold, and derives n; prescription(n) is the stage's
-    prescription, its primes and 2 the factor base of the generator's proof.
-    A stored block, index or cumulative field other than the derived one is
-    reported, and so is a field_added that fails its factorization: its stage
-    is skipped, and the stages after it keep their stored n and block sum."""
+) -> Iterator[tuple[dict, MultiquadField, StageRecord, Optional[SplittingSpec]]]:
+    """(stored stage, previous field, derived record, prescription) per stage.
+    The builders' block rule runs first, up to the stored threshold, and
+    derives n; prescription(n) is the stage's prescription, its primes and 2
+    the factor base of the generator's proof.  A stored block, index or
+    cumulative field other than the derived one is reported, and so is a
+    field_added that fails its factorization: its stage is skipped, and the
+    stages after it keep their stored n, block and block sum.  The record
+    keeps the stored auxiliary primes, which the stage rule checks; a
+    split-prime generator p >= 2 gives its discriminant-norm record."""
+    split_prime = doc["construction"] == PROP71_TOWER
     previous, n_prev = MultiquadField.rationals(), 1
     for k, stage in enumerate(doc["stages"], 1):
         if stage["index"] != k:
             issues.append(f"stage {k}: index {stage['index']} is not the stage's position")
-        n, total = stage["n"], stage["block_sum"]
+        block, total, n = stage["block_primes"], stage["block_sum"], stage["n"]
         if all(proved):  # else the stage's base field is unknown, and it keeps the stored values
             block, total, n = shape.block(previous, n_prev, target, sieve_ceiling=sieve_ceiling,
                                           stage=k, n=n)
@@ -311,9 +303,14 @@ def _tower_stages(
             issues.append(f"stage {k}: {exc}")
             proved.append(None)
             continue
-        proved.append((added, label))
-        yield k, stage, previous, added, spec, n, total
-        previous = previous.adjoin(added)
+        record = StageRecord(
+            index=k, n=n, auxiliary_primes=tuple(stage["auxiliary_primes"]), field_added=added,
+            cumulative_field=previous.adjoin(added), block_primes=tuple(block), block_sum=total,
+            widmer=widmer_term(k, added.value) if split_prime and added.value >= 2 else None,
+        )
+        proved.append((record, label))
+        yield stage, previous, record, spec
+        previous = record.cumulative_field
         if [_factored_to_doc(b) for b in previous.basis] != stage["cumulative_field"]:
             issues.append(f"stage {k}: cumulative field does not match the recomputation")
 
@@ -325,15 +322,16 @@ def _verify_thm12(doc: dict, target: float, sieve_ceiling: int, proved: _Proved)
 
     issues: list[str] = []
     sums: list[float] = []
-    for k, stage, previous, added, spec, _, total in _tower_stages(
+    for stage, previous, record, spec in _tower_stages(
             doc, issues, proved, DIVERGENCE_BLOCK, target, sieve_ceiling, prescription):
-        sums.append(total)
-        problems = divergence_stage_problems(previous, added, stage["auxiliary_primes"])
+        sums.append(record.block_sum)
+        added = record.field_added
+        problems = divergence_stage_problems(previous, added, record.auxiliary_primes)
         if spec is not None:
             problems += prescription_problems(added, spec)
         if stage.get("widmer") is not None:
             problems.append("a divergence stage carries a discriminant-norm record")
-        issues += [f"stage {k}: {msg}" for msg in problems]
+        issues += [f"stage {record.index}: {msg}" for msg in problems]
     # Each recomputed block sum is at least the target, and fsum and float
     # multiplication both round correctly and monotonically, so an honest
     # document meets this bound exactly, with no tolerance.
@@ -350,10 +348,10 @@ def _verify_prop71(doc: dict, target: float, sieve_ceiling: int, proved: _Proved
     issues: list[str] = []
     p_prev = 0
     last_log = -math.inf
-    for i, stage, previous, added, spec, n_i, _ in _tower_stages(
+    for stage, _, record, spec in _tower_stages(
             doc, issues, proved, SPLIT_PRIME_BLOCK, target, sieve_ceiling, prescription):
-        p_i = added.value
-        problems = split_prime_stage_problems(added, n_i, p_prev)
+        i, added, want = record.index, record.field_added, record.widmer
+        problems = split_prime_stage_problems(added, record.n, p_prev)
         issues += [f"stage {i}: {msg}" for msg in problems + prescription_problems(added, spec)]
         w = stage.get("widmer")
         if w is None:
@@ -361,15 +359,16 @@ def _verify_prop71(doc: dict, target: float, sieve_ceiling: int, proved: _Proved
         else:
             if w["stage"] != i:
                 issues.append(f"stage {i}: discriminant-norm record names stage {w['stage']}")
-            if w["norm_base"] != p_i or w["norm_exponent"] != 1 << (i - 1):
-                issues.append(f"stage {i}: discriminant-norm power mismatch")
-            expect = math.log(p_i) / 4.0
-            if abs(w["log_quantity"] - expect) > 1e-12 * max(1.0, abs(expect)):
-                issues.append(f"stage {i}: log quantity {w['log_quantity']} != {expect}")
+            if want is not None:  # else the stage rule reports the generator
+                expect = want.log_quantity
+                if (w["norm_base"], w["norm_exponent"]) != (want.norm_base, want.norm_exponent):
+                    issues.append(f"stage {i}: discriminant-norm power mismatch")
+                if abs(w["log_quantity"] - expect) > 1e-12 * max(1.0, abs(expect)):
+                    issues.append(f"stage {i}: log quantity {w['log_quantity']} != {expect}")
             if not w["log_quantity"] > last_log:
                 issues.append(f"stage {i}: discriminant-norm quantity fails to increase")
             last_log = w["log_quantity"]
-        p_prev = p_i
+        p_prev = added.value
     return issues
 
 
@@ -399,14 +398,12 @@ def _verify_quadratic(doc: dict, proved: _Proved) -> list[str]:
         return [f"params: missing {exc.args[0]!r}"]
     except (TypeError, ValueError) as exc:
         return [f"params: {exc}"]
-    if not_ints := [p for p in spec.split | spec.inert | spec.ramified if type(p) is not int]:
-        return [f"params: prime {not_ints[0]!r} is not an integer"]
     try:
         m, label = _factored_from_doc(doc["stages"][0]["field_added"], proof_factor_base(spec))
     except VerificationError as exc:
         proved.append(None)
         return [str(exc)]
-    proved.append((m, label))
+    proved.append((_quadratic_stage(m), label))
     if m.value != doc.get("m", m.value):
         return [f"stage field {m.value} disagrees with top-level m={doc['m']}"]
     if [(s["index"], s["cumulative_field"]) for s in doc["stages"]] != [(1, [_factored_to_doc(m)])]:

@@ -29,10 +29,10 @@ from splitlab.constructions import (
 )
 from splitlab.density import count_totally_split
 from splitlab.errors import ResourceBudgetError
-from splitlab.multiquadratic import MultiquadField, compositum, local_data, two_adic_class_name
+from splitlab.multiquadratic import MultiquadField, compositum, local_data
 from splitlab.northcott import northcott_bounds, select_prime_window
 from splitlab.primes import PrimeRange, iter_primes, kronecker
-from splitlab.quadratic import SplittingType, SquarefreeInt, splitting_type
+from splitlab.quadratic import SplittingType, SquarefreeInt, splitting_type, two_adic_class
 from splitlab.series import series_term, tower_sum
 from splitlab.traceio import dumps_canonical, trace_to_doc, verify_trace_doc
 
@@ -97,7 +97,7 @@ def test_acceptance_02_multiquadratic_local_data_oracle():
                     data = local_data(field, p)
                     assert data.e * data.f * data.g == field.degree
                     if p == 2:
-                        images = {1} | {two_adic_class_name(c) for c in classes}
+                        images = {1} | {two_adic_class(c) for c in classes}
                         ef = len(images)
                         want = (ef // (2 if 5 in images else 1),
                                 2 if 5 in images else 1,

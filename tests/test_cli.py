@@ -184,11 +184,20 @@ class TestExitCodes:
              "$.stages[0].block_primes[0] is 3.0, not an integer"),
             (["construct-quadratic", "--split", "5", "--inert", "3"],
              lambda doc: doc["params"].update(inert=[3.0]), "params: prime 3.0 is not an integer"),
+            # a split-prime generator below 2 has no discriminant-norm record to derive
+            (["prop71-tower", "--stages", "2"],
+             lambda doc: doc["stages"][0].update(
+                 field_added={"value": -2521, "factors": [[2521, 1], [-1, 1]]}),
+             "stage 1: field_added -2521 is not one positive prime"),
+            (["prop71-tower", "--stages", "2"],
+             lambda doc: doc["stages"][0].update(field_added={"value": -1, "factors": [[-1, 1]]}),
+             "stage 1: field_added -1 is not one positive prime"),
         ],
         ids=["field-added-one", "split-four", "split-missing", "split-not-a-list",
              "factor-twice", "sign-twice", "sign-squared", "n-past-sieve-ceiling",
              "n-float-stage-1", "n-float-stage-2", "auxiliary-prime-float", "index-float",
-             "block-prime-float", "inert-prime-float"],
+             "block-prime-float", "inert-prime-float", "prop71-generator-negative",
+             "prop71-generator-minus-one"],
     )
     def test_rejected_document_values_are_three(self, capsys, tmp_path, check, build, edit,
                                                  issue):

@@ -79,6 +79,13 @@ class TestPrescribedQuadratic:
     def test_two_excluded_from_sets(self):
         with pytest.raises(ValueError, match="odd primes"):
             SplittingSpec(split=frozenset({2}))
+        # the sets hold odd primes as ints: a str, a float or a bool is refused
+        # before the primality test, which would read "5" and 3.0 as primes
+        for kwargs, bad in [({"split": ["5"]}, "'5'"), ({"split": [5], "inert": [3.0]}, "3.0"),
+                            ({"ramified": [True]}, "True")]:
+            with pytest.raises(ValueError) as excinfo:
+                SplittingSpec(**kwargs)
+            assert str(excinfo.value) == f"prime {bad} is not an integer"
 
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):

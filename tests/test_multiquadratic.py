@@ -12,10 +12,8 @@ from splitlab.multiquadratic import (
     linearly_disjoint,
     local_data,
     totally_split,
-    two_adic_class,
-    two_adic_class_name,
 )
-from splitlab.quadratic import SplittingType, local_data_quadratic, splitting_type
+from splitlab.quadratic import SplittingType, local_data_quadratic, splitting_type, two_adic_class
 from splitlab.primes import kronecker
 
 
@@ -33,9 +31,9 @@ def oracle_local_data_odd(field, p):
 
 def oracle_local_data_two(field):
     """Distinct 2-adic square classes across the whole group."""
-    images = {two_adic_class_name(1)}
+    images = {two_adic_class(1)}
     for c in field.square_classes():
-        images.add(two_adic_class_name(c.value))
+        images.add(two_adic_class(c.value))
     ef = len(images)
     f = 2 if 5 in images else 1
     return ef // f, f, field.degree // ef
@@ -131,19 +129,19 @@ class TestTotallyReal:
 class TestTwoAdicClasses:
     def test_the_eight_representatives_are_fixed(self):
         for rep in (1, 5, -1, -5, 2, 10, -2, -10):
-            assert two_adic_class_name(rep) == rep
+            assert two_adic_class(rep) == rep
 
     def test_squares_collapse(self):
         # odd squares are trivial 2-adically; 9m lands in the class of m
         for m in (1, 5, -1, -5, 2, 10, -2, -10):
-            assert two_adic_class_name(9 * m) == two_adic_class_name(m)
+            assert two_adic_class(9 * m) == two_adic_class(m)
 
     @pytest.mark.parametrize(
         "m,expected",
         [(7, -1), (3, -5), (13, 5), (17, 1), (6, -10), (-6, 10), (14, -2), (-14, 2)],
     )
     def test_small_values(self, m, expected):
-        assert two_adic_class_name(m) == expected
+        assert two_adic_class(m) == expected
 
 
 class TestLocalData:

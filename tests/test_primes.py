@@ -42,6 +42,12 @@ MODEXP_SAMPLES = (
 )
 
 
+def powmod(a, e, n):
+    """a**e mod n by one power in a _residues(n) block, as Miller-Rabin takes it."""
+    with primes_mod._residues(n) as ring:
+        return ring.to_int(ring.pow(ring.value(a), e))
+
+
 def trial_division_primes(lo, hi):
     out = []
     for n in range(max(lo, 2), hi + 1):
@@ -136,7 +142,7 @@ class TestIsPrime:
             pytest.skip("libgmp is not installed, so pow is the only modexp path")
         for n in MODEXP_SAMPLES:
             for a in (2, 3, 37):
-                assert primes_mod._powmod(a, n - 1, n) == pow(a, n - 1, n), (a, n)
+                assert powmod(a, n - 1, n) == pow(a, n - 1, n), (a, n)
         with_gmp = [is_prime(n) for n in MODEXP_SAMPLES]
 
         lib, powm_calls = primes_mod._gmp(), []
@@ -149,7 +155,7 @@ class TestIsPrime:
 
         monkeypatch.setattr(primes_mod, "_gmp", CountingGmp)
         for n in SIZED_PRIMES:
-            assert primes_mod._powmod(2, n - 1, n) == 1
+            assert powmod(2, n - 1, n) == 1
         assert len(powm_calls) == sum(
             n.bit_length() >= primes_mod.GMP_MIN_BITS for n in SIZED_PRIMES
         ) == 3
@@ -170,8 +176,8 @@ class TestIsPrime:
             for _ in range(20):
                 n = rng.getrandbits(bits) | 1
                 a, e = rng.randrange(3 * n), rng.getrandbits(bits + 5)
-                assert primes_mod._powmod(a, e, n) == pow(a, e, n), (a, e, n)
-            assert primes_mod._powmod(a, 0, n) == pow(a, 0, n)
+                assert powmod(a, e, n) == pow(a, e, n), (a, e, n)
+            assert powmod(a, 0, n) == pow(a, 0, n)
 
     def test_both_backends_agree_on_the_tree(self, monkeypatch):
         # The remainder tree and the proofs over it, in libgmp and in pow.
@@ -285,14 +291,16 @@ class TestPrimality:
         def made(name):
             return sorted(ctypes.addressof(args[0]) for fn, args in calls if fn == name)
 
+        def views_of(n):
+            size = (n.bit_length() + 63) // 64
+            return [args for fn, args in calls if fn == "__gmpz_roinit_n"
+                    and args[2] == size and int.from_bytes(args[1], "little") == n]
+
         monkeypatch.setattr(primes_mod, "_gmp", CountingGmp)
         p = find_prime_in_ap(1, MODULUS, MODULUS**2)
         calls.clear()
         assert primality(p, SMALL_PRIMES) == PROVED
-        size = (p.bit_length() + 63) // 64
-        views_of_p = [args for fn, args in calls if fn == "__gmpz_roinit_n"
-                      and args[2] == size and int.from_bytes(args[1], "little") == p]
-        assert len(views_of_p) == 1
+        assert len(views_of(p)) == 1
         assert len(made("__gmpz_init")) > len(SMALL_PRIMES) and made("__gmpz_init") == made(
             "__gmpz_clear")
         assert not {"__gmpz_import", "__gmpz_export"} & {fn for fn, _ in calls}
@@ -302,6 +310,13 @@ class TestPrimality:
         fail_at.append(powm_ui_at[len(powm_ui_at) // 2])  # a node halfway through the tree
         with pytest.raises(RuntimeError, match="libgmp call failed"):
             primality(p, SMALL_PRIMES)
+        assert made("__gmpz_init") and made("__gmpz_init") == made("__gmpz_clear")
+
+        # is_prime runs its twelve Miller-Rabin rounds on one view of n too
+        fail_at.clear()
+        calls.clear()
+        assert p.bit_length() >= primes_mod.GMP_MIN_BITS and is_prime(p)
+        assert len(views_of(p)) == 1
         assert made("__gmpz_init") and made("__gmpz_init") == made("__gmpz_clear")
 
     def test_gmp_falls_back_to_pow_when_a_symbol_is_missing(self, monkeypatch):
@@ -496,7 +511,8 @@ class TestFindPrimeInAp:
         monkeypatch.setattr(primes_mod, "MR_PROVEN_BOUND", 0)
         monkeypatch.setattr(primes_mod, "_presieve_bound", lambda bits: 19)
         base = [2, 3, 11, 31]
-        assert primes_mod._mr_round(2047, 2)
+        with primes_mod._residues(2047) as ring:
+            assert primes_mod._mr_round(ring, 2047, 2)
         assert primality(2047, base) is None and primality(4093, base) == PROVED
         assert find_prime_in_ap(1, 2046, 1, factor_base=base) == 4093
 

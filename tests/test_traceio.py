@@ -319,6 +319,10 @@ class TestVerification:
         old = copy.deepcopy(extensible_thm12_doc)
         old["stages"][1]["block_sum"] = KAHAN_ERA_STAGE_2_SUM
         assert verify_trace_doc(json.loads(dumps_canonical(old))) == []
+        # the trace holds the recomputed sum, not the stored one
+        rebuilt = trace_from_doc(json.loads(dumps_canonical(old)))
+        assert [s.block_sum for s in rebuilt.stages] == [
+            s["block_sum"] for s in extensible_thm12_doc["stages"]]
 
     def test_tampered_threshold_detected(self, thm12_doc):
         broken = copy.deepcopy(thm12_doc)
