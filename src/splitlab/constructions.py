@@ -36,12 +36,14 @@ from .primes import (
 from .quadratic import SplittingType, SquarefreeInt, splitting_type
 from .scan import scan
 from .series import (
+    Ratios,
     SeriesReport,
     StabilizationCertificate,
     first_reaching,
     range_terms,
     segment_terms,
     tail_bound_fully_inert,
+    term_ratios,
 )
 
 TWO_UNCONSTRAINED = "unconstrained"
@@ -283,23 +285,31 @@ def _tower_params(num_stages: int, sum_target: float, *, stage_cap: int, **budge
 def _scan_block(
     field: MultiquadField, lo: int, target: float, residue_filter: Optional[tuple[int, int]],
     *, sieve_ceiling: int, stage: int, hi: Optional[int] = None,
-) -> tuple[list[int], float, int]:
-    """Collect the range_terms terms from `lo` until their math.fsum reaches the
-    target; returns (block primes, block sum, last prime).  A block still short
-    at `hi` is returned with hi as its last prime; one short at the sieve ceiling raises."""
+) -> tuple[list[int], float, int, bool]:
+    """Collect the range_terms terms from `lo` until their real sum reaches the
+    target, as series.first_reaching decides it; returns (block primes, block
+    math.fsum, last prime, whether the block reached the target).  A block still
+    short at `hi` is returned with hi as its last prime; one short at the sieve
+    ceiling raises."""
     end = sieve_ceiling if hi is None else min(hi, sieve_ceiling)
     block: list[int] = []
     terms: list[float] = []
-    for p, _, _, seg_terms in range_terms(
+    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def ratios(k: int) -> Ratios:
+        return term_ratios(*(np.concatenate(column)[:k] for column in zip(*rows)))
+
+    for p, e, f, seg_terms in range_terms(
         field, lo, end, residue_filter=residue_filter, sieve_ceiling=sieve_ceiling
     ):
         block += p.tolist()
         terms += seg_terms.tolist()
-        k = first_reaching(terms, target)
+        rows.append((p, e, f))
+        k = first_reaching(terms, target, ratios)
         if k is not None:
-            return block[:k], math.fsum(terms[:k]), block[k - 1]
+            return block[:k], math.fsum(terms[:k]), block[k - 1], True
     if end == hi:  # the range ran out before the sieve did
-        return block, math.fsum(terms), hi
+        return block, math.fsum(terms), hi, False
     raise ResourceBudgetError(
         f"stage {stage}: block scan exhausted the sieve ceiling {sieve_ceiling}"
     )
@@ -316,13 +326,14 @@ class BlockShape:
     past_last: int
 
     def block(self, field: MultiquadField, n_prev: int, target: float, *, sieve_ceiling: int,
-              stage: int, n: Optional[int] = None) -> tuple[list[int], float, int]:
-        """(block primes, block sum, n_k) on `field`; a stored n_k ends the scan at the
-        last prime it admits, and a block short of the target there keeps that n_k."""
-        block, total, last = _scan_block(
+              stage: int, n: Optional[int] = None) -> tuple[list[int], float, int, bool]:
+        """(block primes, block sum, n_k, reached) on `field`; a stored n_k ends the
+        scan at the last prime it admits, and a block short of the target there keeps
+        that n_k with reached False."""
+        block, total, last, reached = _scan_block(
             field, n_prev + self.after, target, self.residue_filter, sieve_ceiling=sieve_ceiling,
             stage=stage, hi=None if n is None else n - self.past_last)
-        return block, total, last + self.past_last
+        return block, total, last + self.past_last, reached
 
 
 DIVERGENCE_BLOCK = BlockShape(after=0, residue_filter=(3, 4), past_last=1)  # [n_{k-1}, n_k)
@@ -411,7 +422,7 @@ def build_divergence_tower(
     n_prev = 1
     stages: list[StageRecord] = []
     for k in range(1, num_stages + 1):
-        block, block_sum, n_k = DIVERGENCE_BLOCK.block(
+        block, block_sum, n_k, _ = DIVERGENCE_BLOCK.block(
             current, n_prev, sum_target_per_block, sieve_ceiling=sieve_ceiling, stage=k)
         aux = _smallest_split_aux_prime(current, sieve_ceiling=sieve_ceiling)
         split, inert = divergence_prescription(n_k, sieve_ceiling=sieve_ceiling)
@@ -540,7 +551,7 @@ def build_split_prime_tower(
     p_prev = 0
     stages: list[StageRecord] = []
     for i in range(1, num_stages + 1):
-        block, block_sum, n_i = SPLIT_PRIME_BLOCK.block(
+        block, block_sum, n_i, _ = SPLIT_PRIME_BLOCK.block(
             current, n_prev, sum_target_per_block, sieve_ceiling=sieve_ceiling, stage=i)
         small = list(iter_primes(2, n_i, ceiling=sieve_ceiling))
         bits = 2.0 + math.fsum(map(math.log2, small))

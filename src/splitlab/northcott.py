@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .primes import DEFAULT_SIEVE_CEILING, is_prime, prime_segments
-from .series import first_reaching
+from .series import Ratios, first_reaching
 
 _TAIL_PARTIAL_CEILING = 10**6
 
@@ -72,11 +72,10 @@ def select_prime_window(
     primes = np.concatenate(
         [np.empty(0, dtype=np.int64), *prime_segments(2, tail_ceiling, ceiling=sieve_ceiling)]
     )
-    # math.log, not np.log, so every term rounds as the scalar formula does.
-    # It reads the int64s one at a time (exact as floats below 2**53): a list
-    # of all ~78k as Python ints raised the towers benchmark's peak memory.
-    logs = np.fromiter(map(math.log, primes), dtype=np.float64, count=len(primes))
+    # np.log need not round as math.log does; the window's end is decided on
+    # the real sum below, and _sum_bounds re-verifies with math.log.
     x = primes.astype(np.float64)
+    logs = np.log(x)
 
     # The upper/lower difference term is 2 log(p)/(p^2 - 1); it is summed
     # exactly up to the ceiling, and the remainder is covered by twice the
@@ -93,17 +92,25 @@ def select_prime_window(
     small = np.flatnonzero(logs / (x + 1.0) < epsilon)
     if not small.size:
         raise ValueError(f"no prime below {tail_ceiling} has term under epsilon={epsilon}")
+    # The start is a float decision: any start past the resolved tail is
+    # valid, and _sum_bounds re-verifies the bounds of the window returned.
     c = int(max(small[0], resolved[0]))
 
     # The window is the longest run from c whose upper sum stays within 2r,
-    # i.e. one prime short of the first prefix whose sum exceeds 2r.  numpy's
-    # running sum places that prefix to within rounding; first_reaching decides
-    # it on the terms up to just past there, and on all terms only if those
-    # fall short.  A list of every term (~78k, 2.5 MB) would set peak memory.
+    # i.e. one prime short of the first prefix whose real sum exceeds 2r (the
+    # real sum is transcendental, so it never equals 2r).  numpy's running sum
+    # places that prefix to within rounding; first_reaching decides it on the
+    # terms up to just past there, and on all terms only if those fall short.
+    # A list of every term (~78k, 2.5 MB) would set peak memory.
     upper = logs[c:] / (x[c:] - 1.0)
-    over = math.nextafter(2.0 * r, math.inf)
-    cut = int(np.searchsorted(np.cumsum(upper), over)) + 2
-    k = first_reaching(upper[:cut].tolist(), over) or first_reaching(upper.tolist(), over)
+    two_r = 2.0 * r
+
+    def ratios(k: int) -> Ratios:
+        return ((p, p - 1) for p in primes[c : c + k].tolist())
+
+    cut = int(np.searchsorted(np.cumsum(upper), two_r)) + 2
+    k = (first_reaching(upper[:cut].tolist(), two_r, ratios)
+         or first_reaching(upper.tolist(), two_r, ratios))
     if k is None:
         raise ValueError(
             f"window exceeded the prime ceiling {tail_ceiling}; raise it or shrink r"

@@ -5,14 +5,21 @@ bounds where a statement about the full series is needed.  Divergence is
 certified by partial sums exceeding a threshold, convergence by a partial sum
 plus tail bound staying under a cap; a literal infinite sum is never claimed.
 Natural logarithm throughout.
+
+Terms are float64, their logs from np.log.  Each lies within a relative
+ENCLOSURE_REL of its real value, so a sum's enclosure() holds the real sum,
+and first_reaching decides a threshold crossing on the real sum: by the
+enclosure where it lies on one side of the threshold, else by a decimal
+re-sum.  The crossing therefore does not depend on how a libm rounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -21,20 +28,79 @@ from .multiquadratic import MultiquadField, local_data
 from .primes import DEFAULT_SIEVE_CEILING, PrimeRange
 from .scan import scan
 
+# c·u with u = 2**-53.  A term log(p)/d is within 6u of its real value:
+# np.log is within 1 ulp (numpy's float64 log tolerance, a relative 2u), and
+# the square (u, or 2u through Python's power), its + 1 (u) and the division
+# (u) each round once.  c = 16 leaves room for fsum's rounding of the terms,
+# and of a total of such sums, and for rounding in enclosure() itself.
+ENCLOSURE_REL = 16 * 2.0**-53
 
-def first_reaching(terms: Sequence[float], target: float) -> Optional[int]:
-    """Length of the shortest prefix of non-negative terms whose math.fsum
-    reaches target, or None if no prefix does.
+# Digits of the decimal re-sum that decides a crossing the enclosure cannot.
+_RESUM_DIGITS = 50
 
-    fsum rounds each prefix's exact sum once, so prefix sums never decrease
-    and the crossing can be found by bisection.
+# (p, d) pairs whose real terms are log(p)/d, p prime and d a positive integer.
+Ratios = Iterable[tuple[int, int]]
+
+
+def enclosure(total: float) -> tuple[float, float]:
+    """An interval holding the real sum of positive terms, each within
+    ENCLOSURE_REL of its real value, whose math.fsum is total:
+    [S(1 - cu) - ulp(S), S(1 + cu) + ulp(S)]."""
+    slack = ENCLOSURE_REL * total + math.ulp(total)
+    return total - slack, total + slack
+
+
+def real_sum_reaches(ratios: Ratios, target: float) -> bool:
+    """Whether the real sum of log(p)/d over ratios reaches target, by decimal.
+
+    At n digits Decimal.ln rounds correctly and each division and addition
+    rounds once, so k terms sum to within a relative (k + 1)·10^(1-n) of the
+    real sum.  A sum that close to the target is re-summed at twice the
+    digits.  The real sum is the log of an algebraic number above 1, which
+    is transcendental (Lindemann), so it never equals a float target and the
+    loop ends.
     """
-    if math.fsum(terms) < target:
+    pairs = list(ratios)
+    want = Decimal(target)
+    digits = _RESUM_DIGITS
+    while True:
+        with localcontext(prec=digits):
+            total = sum((Decimal(p).ln() / d for p, d in pairs), Decimal(0))
+            slack = 2 * (len(pairs) + 1) * total.scaleb(1 - digits)
+            if total - slack > want:
+                return True
+            if total + slack < want:
+                return False
+        digits *= 2
+
+
+def first_reaching(
+    terms: Sequence[float], target: float, ratios: Optional[Callable[[int], Ratios]] = None
+) -> Optional[int]:
+    """Length of the shortest prefix of non-negative terms that reaches
+    target, or None if no prefix does.
+
+    Without ratios a prefix reaches the target when its math.fsum does.
+    With ratios, where ratios(k) gives the (p, d) of the first k terms, a
+    prefix reaches it when its real sum does: the enclosure of its fsum
+    decides, and where that straddles the target, real_sum_reaches.  Either
+    way prefix sums never decrease, so the crossing is found by bisection.
+    """
+    def reaches(k: int) -> bool:
+        total = math.fsum(terms[:k])
+        if ratios is None:
+            return total >= target
+        low, high = enclosure(total)
+        if low < target <= high:
+            return real_sum_reaches(ratios(k), target)
+        return low >= target
+
+    if not reaches(len(terms)):
         return None
     lo, hi = 0, len(terms)
     while lo < hi:
         mid = (lo + hi) // 2
-        if math.fsum(terms[:mid]) >= target:
+        if reaches(mid):
             hi = mid
         else:
             lo = mid + 1
@@ -73,9 +139,10 @@ class StabilizationCertificate:
 
 
 def series_term(field: MultiquadField, p: int) -> float:
-    """log(p) / (e (p^f + 1)) for the local data (e, f) of p in the field."""
+    """log(p) / (e (p^f + 1)) for the local data (e, f) of p < 2**63 in the
+    field: segment_terms on the one prime, so the two agree bit for bit."""
     data = local_data(field, p)
-    return math.log(p) / (data.e * (float(p) ** data.f + 1.0))
+    return float(segment_terms(*(np.array([v], dtype=np.int64) for v in (p, data.e, data.f)))[0])
 
 
 # Up to here p * p < 2**53, so the float64 square is exact and equals
@@ -85,17 +152,24 @@ _EXACT_SQUARE_UPTO = math.isqrt(1 << 53)
 
 
 def segment_terms(p: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """series_term's log(p) / (e (p^f + 1)) for int64 arrays, f in {1, 2}, bit for bit.
+    """log(p) / (e (p^f + 1)) for int64 arrays, f in {1, 2}; series_term calls it.
 
-    The logs come from math.log (np.log need not round the same way) and the
-    squares from numpy where they are exact; the rest is one float64 division.
+    The logs come from np.log and the squares from numpy where they are
+    exact; the rest is one float64 division.  np.log need not round as
+    math.log does (they differ at 44 primes below 10^7, the first 285,343),
+    which is why crossings are decided on the real sum (first_reaching).
     """
     x = p.astype(np.float64)
     power = np.where(f == 2, x * x, x)
     for i in np.flatnonzero((f == 2) & (p > _EXACT_SQUARE_UPTO)).tolist():
         power[i] = float(p[i]) ** 2
-    logs = np.fromiter(map(math.log, p.tolist()), dtype=np.float64, count=len(p))
-    return logs / (e * (power + 1.0))
+    return np.log(x) / (e * (power + 1.0))
+
+
+def term_ratios(p: np.ndarray, e: np.ndarray, f: np.ndarray) -> Iterator[tuple[int, int]]:
+    """segment_terms' terms exactly: (p, e (p^f + 1)), the term being log(p) over it."""
+    for q, ramification, degree in zip(p.tolist(), e.tolist(), f.tolist()):
+        yield q, ramification * (q**degree + 1)
 
 
 def range_terms(

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 from dataclasses import asdict
+from fractions import Fraction
 from importlib import resources
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -46,12 +47,15 @@ from .errors import VerificationError
 from .multiquadratic import MultiquadField
 from .primes import DEFAULT_SIEVE_CEILING, PROBABLE, PROVED, iter_primes, primality
 from .quadratic import SquarefreeInt
+from .series import enclosure
 
 TRACE_VERSION = 1
 
 # A stored block sum may differ from the recomputed math.fsum by this relative
-# amount.  It covers documents written when blocks were Kahan-summed: for
-# positive terms Kahan's error is at most 2u and fsum's u/2 (u = 2**-53).
+# amount.  It covers documents written when blocks were Kahan-summed from
+# math.log terms: for positive terms Kahan's error is at most 2u and fsum's
+# u/2 (u = 2**-53), and the rare 1-ulp log differences move a block sum by
+# far less than u.
 _STORED_SUM_REL = 2**-51
 
 # A construct-quadratic document's params: the SplittingSpec fields.
@@ -281,10 +285,10 @@ def _tower_stages(
             issues.append(f"stage {k}: index {stage['index']} is not the stage's position")
         block, total, n = stage["block_primes"], stage["block_sum"], stage["n"]
         if all(proved):  # else the stage's base field is unknown, and it keeps the stored values
-            block, total, n = shape.block(previous, n_prev, target, sieve_ceiling=sieve_ceiling,
-                                          stage=k, n=n)
+            block, total, n, reached = shape.block(previous, n_prev, target,
+                                                   sieve_ceiling=sieve_ceiling, stage=k, n=n)
             last = stage["n"] - shape.past_last
-            if total < target:  # the first of these that holds is the stage's one block issue
+            if not reached:  # the first of these that holds is the stage's one block issue
                 issues.append(f"stage {k}: block sum {total} below target {target}")
             elif n != stage["n"] and stage["block_primes"][-1:] == [last]:
                 issues.append(f"stage {k}: block sum {total} before its last prime already "
@@ -332,11 +336,10 @@ def _verify_thm12(doc: dict, target: float, sieve_ceiling: int, proved: _Proved)
         if stage.get("widmer") is not None:
             problems.append("a divergence stage carries a discriminant-norm record")
         issues += [f"stage {record.index}: {msg}" for msg in problems]
-    # Each recomputed block sum is at least the target, and fsum and float
-    # multiplication both round correctly and monotonically, so an honest
-    # document meets this bound exactly, with no tolerance.
+    # Each recomputed block's real sum reaches the target, so an honest
+    # document's real total reaches K·T and the top of its enclosure does too.
     total, want_total = math.fsum(sums), target * len(doc["stages"])
-    if total < want_total:
+    if Fraction(enclosure(total)[1]) < len(doc["stages"]) * Fraction(target):
         issues.append(f"total block sum {total} below {want_total}")
     return issues
 

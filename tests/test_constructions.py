@@ -241,23 +241,23 @@ def test_scan_block_equals_scalar_series_terms():
     # sieve segments: the block, its sum and its last prime all come from
     # series_term prime by prime.
     field = MultiquadField.from_generators([3, 7, 460_322_471_827])
-    block, block_sum, last_p = _scan_block(
+    block, block_sum, last_p, reached = _scan_block(
         field, 1010, 0.3, (3, 4), sieve_ceiling=10**7, stage=0
     )
     primes = [p for p in iter_primes(1010, last_p) if p % 4 == 3]
     terms = [series_term(field, p) for p in primes]
-    assert block == primes and block[-1] == last_p and block[-1] > 1 << 14
+    assert block == primes and block[-1] == last_p and block[-1] > 1 << 14 and reached
     assert block_sum == math.fsum(terms) >= 0.3 > math.fsum(terms[:-1])
     # An upper end past the crossing changes nothing; one before it returns
     # the short block: every filtered prime up to it, summed below the target.
     assert _scan_block(field, 1010, 0.3, (3, 4), sieve_ceiling=10**7, stage=0,
-                       hi=last_p + 1000) == (block, block_sum, last_p)
+                       hi=last_p + 1000) == (block, block_sum, last_p, True)
     hi = last_p - 1000
-    short, short_sum, end = _scan_block(
+    short, short_sum, end, short_reached = _scan_block(
         field, 1010, 0.3, (3, 4), sieve_ceiling=10**7, stage=0, hi=hi
     )
     primes = [p for p in iter_primes(1010, hi) if p % 4 == 3]
-    assert short == primes and end == hi
+    assert short == primes and end == hi and not short_reached
     assert short_sum == math.fsum(series_term(field, p) for p in primes) < 0.3
 
 
