@@ -84,8 +84,9 @@ class TestLogErrorBound:
         ones = np.ones_like(p)
         terms = segment_terms(p, e * ones, f * ones).tolist()
         ratios = term_ratios(p, e * ones, f * ones)
+        assert TERM_REL < ENCLOSURE_REL
         for t, (q, d) in zip(terms, ratios):
-            assert rel_error(t, real_sum([(q, d)])) <= TERM_REL <= ENCLOSURE_REL, (q, e, f)
+            assert rel_error(t, real_sum([(q, d)])) <= TERM_REL, (q, e, f)
 
     def test_window_terms_within_c_u(self, sampled_primes):
         x = np.array(sampled_primes, dtype=np.float64)
@@ -130,7 +131,7 @@ def _block_rows(field, lo, hi, residue_filter):
 
 class TestStraddlingTargets:
     def test_first_reaching_resums_a_straddling_prefix(self, resums):
-        block, terms, ratios = _block_rows(Q, 1, 1000, (3, 4))
+        _, terms, ratios = _block_rows(Q, 1, 1000, (3, 4))
         k, target = _straddling_prefix(terms, ratios, 0.5)
         low, high = enclosure(target)
         assert low < target <= high
