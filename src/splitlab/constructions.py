@@ -39,6 +39,7 @@ from .series import (
     Ratios,
     SeriesReport,
     StabilizationCertificate,
+    enclosure,
     first_reaching,
     range_terms,
     segment_terms,
@@ -294,6 +295,7 @@ def _scan_block(
     end = sieve_ceiling if hi is None else min(hi, sieve_ceiling)
     block: list[int] = []
     terms: list[float] = []
+    sums: list[float] = []  # per segment, the fsum of its terms
     rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def ratios(k: int) -> Ratios:
@@ -303,8 +305,14 @@ def _scan_block(
         field, lo, end, residue_filter=residue_filter, sieve_ceiling=sieve_ceiling
     ):
         block += p.tolist()
-        terms += seg_terms.tolist()
+        seg = seg_terms.tolist()
+        terms += seg
+        sums.append(math.fsum(seg))
         rows.append((p, e, f))
+        # The enclosure of the total of segment fsums holds the real sum too, so
+        # while its top stays below the target, so does every prefix's real sum.
+        if enclosure(math.fsum(sums))[1] < target:
+            continue
         k = first_reaching(terms, target, ratios)
         if k is not None:
             return block[:k], math.fsum(terms[:k]), block[k - 1], True

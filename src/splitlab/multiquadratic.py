@@ -63,18 +63,17 @@ class MultiquadField:
         return cls(())
 
     @classmethod
+    def _from_rows(cls, rows: Iterable[frozenset[int]]) -> "MultiquadField":
+        """The field whose classes the atom sets in `rows` span, on its reduced basis."""
+        return cls(tuple(_atoms_to_squarefree(v) for v in _reduce_rows(rows)))
+
+    @classmethod
     def from_generators(
         cls, generators: Iterable[Union[int, SquarefreeInt]]
     ) -> "MultiquadField":
-        rows = []
-        for g in generators:
-            if isinstance(g, SquarefreeInt):
-                rows.append(g.atoms)
-            elif g in (1,):
-                continue  # the trivial square class
-            else:
-                rows.append(SquarefreeInt.from_int(int(g)).atoms)
-        return cls(tuple(_atoms_to_squarefree(v) for v in _reduce_rows(rows)))
+        return cls._from_rows(  # 1 is the trivial square class
+            (g if isinstance(g, SquarefreeInt) else SquarefreeInt.from_int(int(g))).atoms
+            for g in generators if g != 1)
 
     @property
     def degree(self) -> int:
@@ -101,8 +100,7 @@ class MultiquadField:
         """The compositum with Q(sqrt(m)); degree doubles iff m is a new class."""
         if isinstance(m, int):
             m = SquarefreeInt.from_int(m)
-        rows = self._vectors() + [m.atoms]
-        return MultiquadField(tuple(_atoms_to_squarefree(v) for v in _reduce_rows(rows)))
+        return MultiquadField._from_rows(self._vectors() + [m.atoms])
 
     def square_classes(self) -> Iterator[SquarefreeInt]:
         """All 2^r - 1 nontrivial classes of the group (oracle-scale only)."""
@@ -119,8 +117,7 @@ class MultiquadField:
 
 
 def compositum(left: MultiquadField, right: MultiquadField) -> MultiquadField:
-    rows = left._vectors() + right._vectors()
-    return MultiquadField(tuple(_atoms_to_squarefree(v) for v in _reduce_rows(rows)))
+    return MultiquadField._from_rows(left._vectors() + right._vectors())
 
 
 def linearly_disjoint(left: MultiquadField, right: MultiquadField) -> bool:

@@ -2,14 +2,17 @@
 
 The wire format is pinned by trace_schema.json next to this module.  Output is
 canonical (sorted keys, two-space indent, trailing newline) so identical runs
-are byte-identical.  verify_trace_doc() re-derives every stage check from
-scratch with the builders' own stage rules, and trace_from_doc() returns the
-stage records it derived, only for a document it accepts; trace_to_doc() alone
-gives a document its shape.  Documents store no verdicts: the flag lists stay
-empty, and a false flag in an older document is still reported.  Each
-generator's primes are proved over a factor base the verifier derives from
-the prescription, never from the document; verify_with_primality() says
-which were only probable.
+are byte-identical.  validate_schema() walks a document against the schema
+once: it raises at the first shape error, else returns the integer places
+that hold a float such as 32.0, which the verifier reports as its only
+issues.  verify_trace_doc() re-derives every stage check from scratch with
+the builders' own stage rules, and trace_from_doc() returns the stage records
+it derived, only for a document it accepts; trace_to_doc() alone gives a
+document its shape.  Documents store no verdicts: the flag lists stay empty,
+and a false flag in an older document is still reported.  Each generator's
+primes are proved over a factor base the verifier derives from the
+prescription, never from the document; verify_with_primality() says which
+were only probable.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ _STORED_SUM_REL = 2**-51
 # A construct-quadratic document's params: the SplittingSpec fields.
 _SPEC_PARAMS = ("split", "inert", "ramified", "two_behavior", "signature")
 
-# The JSON Schema keywords trace_schema.json uses, all that _shape_errors knows.
+# The JSON Schema keywords trace_schema.json uses, all that _findings knows.
 _KEYWORDS = frozenset("$schema title $defs $ref type required properties additionalProperties"
                       " items prefixItems minItems maxItems enum const minimum oneOf".split())
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
@@ -69,7 +72,7 @@ _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
 
 
 def load_schema() -> dict:
-    """trace_schema.json; raises if it uses a keyword _shape_errors does not know."""
+    """trace_schema.json; raises if it uses a keyword _findings does not know."""
     with resources.files("splitlab").joinpath("trace_schema.json").open("rb") as fh:
         schema = json.load(fh)
     pending = [schema]
@@ -177,70 +180,62 @@ def _is_type(value: Any, name: str) -> bool:
             and (name != "integer" or isinstance(value, int) or value.is_integer()))
 
 
-def _shape_errors(schema: Any, value: Any, path: str) -> Iterator[str]:
-    """Each place, lazily, where `value` at JSON path `path` breaks `schema`,
-    a part of trace_schema.json whose $refs all name $defs entries."""
+def _findings(schema: Any, value: Any, path: str) -> Iterator[tuple[bool, str]]:
+    """(is_shape, text) for each place, lazily, where `value` at JSON path
+    `path` breaks `schema`, a part of trace_schema.json whose $refs all name
+    $defs entries (a shape finding), or holds a float such as 32.0 where it
+    asks for an integer.  Each oneOf branch is walked whole, and only the one
+    fitting branch's floats are reported."""
     if schema is False:
-        yield f"{path} is not allowed"
+        yield True, f"{path} is not allowed"
     if isinstance(schema, bool):
         return
     if "$ref" in schema:
-        target = _schema()["$defs"][schema["$ref"].removeprefix("#/$defs/")]
-        yield from _shape_errors(target, value, path)
+        yield from _findings(_schema()["$defs"][schema["$ref"].removeprefix("#/$defs/")],
+                             value, path)
     if "type" in schema and not _is_type(value, schema["type"]):
-        yield f"{path} is not of type {schema['type']!r}"
+        yield True, f"{path} is not of type {schema['type']!r}"
+    elif schema.get("type") == "integer" and isinstance(value, float):
+        yield False, f"{path} is {value!r}, not an integer"
     for allowed in (schema.get("enum"), [schema["const"]] if "const" in schema else None):
         # JSON equality with the schema's scalars, where true is not 1
         if allowed is not None and not any(
                 v == value and isinstance(v, bool) == isinstance(value, bool) for v in allowed):
-            yield f"{path} is not one of {allowed!r}"
+            yield True, f"{path} is not one of {allowed!r}"
     if "minimum" in schema and _is_type(value, "number") and value < schema["minimum"]:
-        yield f"{path} is less than the minimum of {schema['minimum']!r}"
-    if "oneOf" in schema and (fits := sum(
-            next(_shape_errors(s, value, path), None) is None for s in schema["oneOf"])) != 1:
-        yield f"{path} fits {fits} of the oneOf schemas, not exactly one"
+        yield True, f"{path} is less than the minimum of {schema['minimum']!r}"
+    if "oneOf" in schema:
+        fits = [found for found in (list(_findings(s, value, path)) for s in schema["oneOf"])
+                if not any(is_shape for is_shape, _ in found)]
+        if len(fits) != 1:
+            yield True, f"{path} fits {len(fits)} of the oneOf schemas, not exactly one"
+        else:
+            yield from fits[0]
     if isinstance(value, dict):
-        yield from (f"{path} lacks the required property {key!r}"
+        yield from ((True, f"{path} lacks the required property {key!r}")
                     for key in schema.get("required", ()) if key not in value)
         for key, item in value.items():
             sub = schema.get("properties", {}).get(key, schema.get("additionalProperties", True))
-            yield from _shape_errors(sub, item, f"{path}.{key}")
+            yield from _findings(sub, item, f"{path}.{key}")
     elif isinstance(value, list):
         if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
-            yield f"{path} has {len(value)} items, outside the schema's bounds"
+            yield True, f"{path} has {len(value)} items, outside the schema's bounds"
         subs = schema.get("prefixItems", []) + [schema.get("items", True)] * len(value)
         for i, (sub, item) in enumerate(zip(subs, value)):
-            yield from _shape_errors(sub, item, f"{path}[{i}]")
+            yield from _findings(sub, item, f"{path}[{i}]")
 
 
-def _float_integers(schema: Any, value: Any, path: str) -> Iterator[str]:
-    """Each place where `schema` asks for an integer and `value` holds a float
-    such as 32.0.  JSON Schema, and so validate_schema, counts 32.0 an
-    integer; the verifier, which computes with ints, refuses it."""
-    if isinstance(schema, bool):
-        return
-    if "$ref" in schema:
-        target = _schema()["$defs"][schema["$ref"].removeprefix("#/$defs/")]
-        yield from _float_integers(target, value, path)
-    if schema.get("type") == "integer" and isinstance(value, float):
-        yield f"{path} is {value!r}, not an integer"
-    for sub in schema.get("oneOf", ()):
-        yield from _float_integers(sub, value, path)
-    if isinstance(value, dict):
-        for key, item in value.items():
-            sub = schema.get("properties", {}).get(key, schema.get("additionalProperties", True))
-            yield from _float_integers(sub, item, f"{path}.{key}")
-    elif isinstance(value, list):
-        subs = schema.get("prefixItems", []) + [schema.get("items", True)] * len(value)
-        for i, (sub, item) in enumerate(zip(subs, value)):
-            yield from _float_integers(sub, item, f"{path}[{i}]")
-
-
-def validate_schema(doc: Any) -> None:
-    """Raise ValueError naming the JSON path where `doc` first breaks the schema."""
-    error = next(_shape_errors(_schema(), doc, "$"), None)
-    if error is not None:
-        raise ValueError(f"trace does not match the schema: {error}")
+def validate_schema(doc: Any) -> list[str]:
+    """Raise ValueError naming the JSON path where `doc` first breaks the
+    schema; else return each place where it holds a float such as 32.0 at an
+    integer, which JSON Schema accepts and the verifier, computing with ints,
+    refuses."""
+    floats = []
+    for is_shape, text in _findings(_schema(), doc, "$"):
+        if is_shape:
+            raise ValueError(f"trace does not match the schema: {text}")
+        floats.append(text)
+    return floats
 
 
 def trace_from_doc(
@@ -426,9 +421,8 @@ def _verify_quadratic(doc: dict, proved: _Proved) -> list[str]:
 def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], _Proved]:
     """The verifier's walk: the issues found, and per stage the proved
     field_added with its primality label, or None where it was refused."""
-    validate_schema(doc)
-    issues = list(_float_integers(_schema(), doc, "$"))
-    if issues:  # the walk below computes with these values as ints
+    issues = validate_schema(doc)
+    if issues:  # integral floats; the walk below computes with these values as ints
         return issues, []
     # Older documents stored verdict flags; one that reads false is still an issue.
     for where, certs in [("trace", doc["certificates"])] + [

@@ -184,6 +184,16 @@ class TestExitCodes:
              "$.stages[0].block_primes[0] is 3.0, not an integer"),
             (["construct-quadratic", "--split", "5", "--inert", "3"],
              lambda doc: doc["params"].update(inert=[3.0]), "params: prime 3.0 is not an integer"),
+            # integral floats reached through oneOf, prefixItems and $ref
+            (["prop71-tower", "--stages", "2"],
+             lambda doc: doc["stages"][1]["widmer"].update(stage=2.0),
+             "$.stages[1].widmer.stage is 2.0, not an integer"),
+            (["prop71-tower", "--stages", "2"],
+             lambda doc: doc["stages"][0]["field_added"]["factors"][0].__setitem__(0, 2521.0),
+             "$.stages[0].field_added.factors[0][0] is 2521.0, not an integer"),
+            (["prop71-tower", "--stages", "2"],
+             lambda doc: doc["stages"][0]["field_added"].update(value=2521.0),
+             "$.stages[0].field_added.value is 2521.0, not an integer"),
             # a split-prime generator below 2 has no discriminant-norm record to derive
             (["prop71-tower", "--stages", "2"],
              lambda doc: doc["stages"][0].update(
@@ -196,7 +206,8 @@ class TestExitCodes:
         ids=["field-added-one", "split-four", "split-missing", "split-not-a-list",
              "factor-twice", "sign-twice", "sign-squared", "n-past-sieve-ceiling",
              "n-float-stage-1", "n-float-stage-2", "auxiliary-prime-float", "index-float",
-             "block-prime-float", "inert-prime-float", "prop71-generator-negative",
+             "block-prime-float", "inert-prime-float", "widmer-stage-float-one-of",
+             "factor-float-prefix-items", "value-float-ref", "prop71-generator-negative",
              "prop71-generator-minus-one"],
     )
     def test_rejected_document_values_are_three(self, capsys, tmp_path, check, build, edit,

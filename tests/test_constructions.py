@@ -261,6 +261,23 @@ def test_scan_block_equals_scalar_series_terms():
     assert short_sum == math.fsum(series_term(field, p) for p in primes) < 0.3
 
 
+def test_scan_block_decides_a_many_segment_block_at_most_twice(monkeypatch):
+    # Over Q, p = 3 (mod 4) from 2 to 6.0 spans seven sieve segments.  Only a
+    # segment whose total can reach the target runs first_reaching and its
+    # fsum over the whole block so far; the block is the prime-by-prime one.
+    reaching = constructions.first_reaching
+    calls = []
+    monkeypatch.setattr(constructions, "first_reaching",
+                        lambda *args: calls.append(args) or reaching(*args))
+    block, block_sum, last_p, reached = _scan_block(
+        MultiquadField.rationals(), 2, 6.0, (3, 4), sieve_ceiling=10**7, stage=0
+    )
+    primes = [p for p in iter_primes(2, last_p) if p % 4 == 3]
+    terms = [series_term(MultiquadField.rationals(), p) for p in primes]
+    assert block == primes and last_p == 716_959 and reached and 1 <= len(calls) <= 2
+    assert block_sum == math.fsum(terms) == 6.000016996251959 > math.fsum(terms[:-1])
+
+
 @pytest.mark.parametrize("build", [build_divergence_tower, build_split_prime_tower])
 def test_block_scan_exhausting_the_sieve_ceiling_raises(build):
     # Over Q the sum of log p/(p+1) for p <= 1000 is about 5.6, below 10.

@@ -203,6 +203,34 @@ class TestSchema:
                                              r"is not of type 'integer'$"):
             validate_schema(broken)
 
+    def test_integral_float_does_not_hide_a_shape_error(self, thm12_doc, tmp_path):
+        # The walk meets the integral float first and still raises on the
+        # non-integral one after it.
+        broken = copy.deepcopy(thm12_doc)
+        broken["stages"][0].update(index=1.0, n=32.5)
+        with pytest.raises(ValueError, match=r"\$\.stages\[0\]\.n is not of type 'integer'$"):
+            validate_schema(broken)
+        assert _cli_exit_code(broken, tmp_path, "verify") == 1
+
+    def test_integral_float_reported_once_at_its_place(self, prop71_doc):
+        broken = copy.deepcopy(prop71_doc)
+        broken["stages"][1]["widmer"]["stage"] = 2.0
+        broken["stages"][0]["field_added"]["factors"][0][0] = 2521.0
+        assert validate_schema(broken) == ["$.stages[0].field_added.factors[0][0] is 2521.0, "
+                                           "not an integer",
+                                           "$.stages[1].widmer.stage is 2.0, not an integer"]
+
+    def test_one_of_reports_only_the_fitting_branch(self, monkeypatch):
+        # 5.0 fits the number branch; the integer branch, whose minimum it
+        # breaks, has no say about the float.
+        schema = {"oneOf": [{"type": "integer", "minimum": 100}, {"type": "number"}]}
+        monkeypatch.setattr(traceio, "_schema", lambda: schema)
+        assert validate_schema(5.0) == []
+        with pytest.raises(ValueError, match=r"\$ fits 2 of the oneOf schemas"):
+            validate_schema(500.0)
+        schema["oneOf"][1] = {"type": "string"}
+        assert validate_schema(500.0) == ["$ is 500.0, not an integer"]
+
     def test_agrees_with_jsonschema(self, thm12_doc, prop71_doc, quad_doc):
         # jsonschema is the oracle: the same accept/reject decision on every
         # document of the corpus.  One `items` subschema checks every item of

@@ -11,11 +11,11 @@ machine's speed falls on both sides alike. The run records that perfbench
 writes to .perfbench_out/ are read back, and the output holds the command
 that made it, every run with its set-up times (setup_s is their median; the
 first set-up runs in process, the rest in fresh interpreters), plus, per
-side, the median and quartiles of setup_s, wall_ref and peak_rss_mb and
-the median number of passes (a run that fits more passes in its window can
-read higher peak_rss_mb), per workload and metric the number of pairs in
-which the change read lower, and each side's count of Python lines under
-src/.
+side, the median and quartiles of setup_s, wall_ref and peak_rss_mb (one
+seed's value is its median, and its quartiles are null) and the median
+number of passes (a run that fits more passes in its window can read higher
+peak_rss_mb), per workload and metric the number of pairs in which the
+change read lower, and each side's count of Python lines under src/.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
 
 
 def summary(values: list[float]) -> dict:
+    """Median and quartiles; one value is its own median, with null quartiles."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": None, "q3": None}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -72,8 +75,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=["scan", "towers", "prescribe"])
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     args = parser.parse_args(argv)
-    if len(args.seeds) < 2:
-        parser.error("--seeds needs at least two seeds to give quartiles")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     command = (f"python3 tools/bench_compare.py PARENT CHANGE --out {args.out.name}"
