@@ -380,10 +380,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args.format = _output_format(args)
         _DISPATCH[args.command](args)
         return 0
-    except (_UsageError, ValueError) as exc:
-        _diagnose("invalid-argument", str(exc))
-        return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         _diagnose("invalid-argument", str(exc))
         return 1
     except ResourceBudgetError as exc:

@@ -40,18 +40,6 @@ class PrimeRange:
             raise ValueError(f"invalid prime range: hi={self.hi} < lo={self.lo}")
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Primes <= limit as an int64 array (plain Eratosthenes)."""
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 def prime_segments(
     lo: int, hi: int, *, ceiling: int = DEFAULT_SIEVE_CEILING
 ) -> Iterator[np.ndarray]:
@@ -59,7 +47,11 @@ def prime_segments(
 
     Segments grow geometrically from _FIRST_SEGMENT to _SEGMENT integers and
     only one is held at a time, so memory does not grow with the range and
-    the generator is cheap to abandon early.
+    the generator is cheap to abandon early.  A segment [start, stop] holds
+    flags for its odd numbers only, first = start | 1 onward, and 2 is put
+    in front when the segment starts at 2.  The odd base primes up to
+    isqrt(stop) come from the cached _sieving_primes table, and each one's
+    first odd multiple >= max(p*p, start) is found in one numpy step.
     """
     if hi > ceiling:
         raise ResourceBudgetError(
@@ -68,17 +60,22 @@ def prime_segments(
     lo = max(lo, 2)
     if hi < lo:
         return
-    base = _simple_sieve(math.isqrt(hi)).tolist()
+    odd = np.empty(0, dtype=np.int64)  # below 9 no odd prime's square is in range
+    if hi >= 9:
+        odd = _sieving_primes(1 << math.isqrt(hi).bit_length())[1:]
     start, size = lo, _FIRST_SEGMENT
     while start <= hi:
         stop = min(start + size - 1, hi)
-        flags = np.ones(stop - start + 1, dtype=bool)
-        for p in base:
-            if p * p > stop:
-                break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            flags[first - start :: p] = False
-        segment = np.flatnonzero(flags) + start
+        first = start | 1
+        flags = np.ones((stop - first) // 2 + 1, dtype=bool)
+        base = odd[: np.searchsorted(odd, math.isqrt(stop), side="right")]
+        # k*p is odd exactly when k is, as p is odd
+        multiple = np.maximum(base * base, (-(-first // base) | 1) * base)
+        for p, o in zip(base.tolist(), ((multiple - first) // 2).tolist()):
+            flags[o::p] = False
+        segment = np.flatnonzero(flags) * 2 + first
+        if start == 2:
+            segment = np.concatenate(([2], segment))
         if segment.size:
             yield segment
         start, size = stop + 1, min(4 * size, _SEGMENT)
@@ -539,8 +536,9 @@ _WINDOW = 64
 
 @functools.cache
 def _sieving_primes(bound: int) -> np.ndarray:
-    """The primes up to bound, built on first use and shared by later searches."""
-    primes = _simple_sieve(bound)
+    """The primes up to bound, built on first use, read-only, and shared by
+    later searches and by prime_segments for its base primes."""
+    primes = np.concatenate([np.empty(0, dtype=np.int64), *prime_segments(2, bound, ceiling=bound)])
     primes.flags.writeable = False
     return primes
 

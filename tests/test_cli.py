@@ -61,6 +61,19 @@ class TestExitCodes:
         assert diag["error"]["kind"] == "invalid-argument"
         assert "per_decade" in diag["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "DIR"], ["adjoin-i-bound", "--in", "DIR"],
+         ["thm12-tower", "--stages", "1", "--out", "DIR"]],
+        ids=["verify", "adjoin-i-bound", "thm12-tower"],
+    )
+    def test_unreadable_path_is_one(self, capsys, tmp_path, argv):
+        # a directory where a file is read or written is an OSError, not a crash
+        code, out, err = capture(capsys, [str(tmp_path) if a == "DIR" else a for a in argv])
+        assert code == 1 and out == ""
+        [line] = err.strip().splitlines()
+        assert json.loads(line)["error"]["kind"] == "invalid-argument"
+
     def test_unknown_flag_is_one(self, capsys):
         code, _, err = capture(capsys, ["northcott-bounds", "--primes", "2", "--frobnicate"])
         assert code == 1

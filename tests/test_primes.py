@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,6 +104,61 @@ class TestPrimeRange:
         assert len(segments) == len(edges) - 1
         for seg, start, stop in zip(segments, edges, edges[1:]):
             assert seg == sieve_primes(PrimeRange(start, stop - 1))
+
+
+def _concatenated(lo, hi):
+    return [p for segment in prime_segments(lo, hi) for p in segment.tolist()]
+
+
+def _segment_edges(lo, count):
+    """The first integers of a prime_segments(lo, ...) call's segments 2..count+1."""
+    edges, size = [], 1 << 10
+    for _ in range(count):
+        edges.append((edges[-1] if edges else lo) + size)
+        size = min(4 * size, 1 << 18)
+    return edges
+
+
+class TestPrimeSegments:
+    """The odd-only sieve against sympy's primerange, an independent oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 10**8 - 10**5), st.integers(0, 10**5))
+    def test_agrees_with_sympy(self, lo, width):
+        assert _concatenated(lo, lo + width) == list(sympy.primerange(lo, lo + width + 1))
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(2, 2), (2, 100), (3, 3), (3, 100), (4, 4), (4, 100),
+         (97, 97), (9973, 9973), (91, 91), (9409, 9409)],
+    )
+    def test_small_and_single_ranges(self, lo, hi):
+        assert _concatenated(lo, hi) == list(sympy.primerange(lo, hi + 1))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 97])
+    @pytest.mark.parametrize("lo", [2, 3, 4])
+    def test_hi_at_a_base_prime_square(self, lo, p):
+        for hi in (p * p - 1, p * p):
+            assert _concatenated(lo, hi) == list(sympy.primerange(lo, hi + 1))
+        assert _concatenated(p * p - 1, p * p) == []
+
+    @pytest.mark.parametrize("lo", [2, 3, 1000, 1001])
+    def test_across_every_segment_edge(self, lo):
+        edges = _segment_edges(lo, 6)
+        for hi in (edges[0] - 1, edges[0], edges[2] + 1, edges[-1] + 1000):
+            assert _concatenated(lo, hi) == list(sympy.primerange(lo, hi + 1))
+
+    def test_base_primes_come_from_one_cached_table(self):
+        # every hi in [2^18, 2^20) takes its base primes from the 2^10 table
+        list(prime_segments(2, 10**6))
+        for lo, hi in [(2, 1 << 18), (1000, 500_000), (400_000, 10**6)]:
+            before = primes_mod._sieving_primes.cache_info()
+            list(prime_segments(lo, hi))
+            after = primes_mod._sieving_primes.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        table = primes_mod._sieving_primes(1 << 10)
+        assert not table.flags.writeable
+        assert table.tolist() == list(sympy.primerange(2, 1 << 10))
 
 
 class TestIsPrime:

@@ -14,8 +14,10 @@ first set-up runs in process, the rest in fresh interpreters), plus, per
 side, the median and quartiles of setup_s, wall_ref and peak_rss_mb (one
 seed's value is its median, and its quartiles are null) and the median
 number of passes (a run that fits more passes in its window can read higher
-peak_rss_mb), per workload and metric the number of pairs in which the
-change read lower, and each side's count of Python lines under src/.
+peak_rss_mb), per command kind the median over seeds of each run's median
+latency (latency_p50_s, in seconds), per workload and metric the number of
+pairs in which the change read lower, and each side's count of Python lines
+under src/.
 """
 
 from __future__ import annotations
@@ -40,11 +42,23 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     record = json.loads(
         (checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return read_run(result, record, seed)
+
+
+def read_run(result: dict, record: dict, seed: int) -> dict:
+    """One run's figures from perfbench's stdout result and its run record."""
     run = {k: result["metrics"][k]["value"] for k in METRICS}
     run.update(seed=seed, wall_s=record["wall_s"], passes=record["passes"],
                setup_runs_s=record["setup_runs_s"], attempted=result["attempted"],
-               failed=result["failed"])
+               failed=result["failed"],
+               latency_p50_s={kind: s["p50"] for kind, s in record["latency_s"].items()})
     return {"run": run, "env": record["env"]}
+
+
+def latency_medians(runs: list[dict]) -> dict:
+    """Per command kind, the median over runs of each run's median latency."""
+    return {kind: statistics.median(r["latency_p50_s"][kind] for r in runs)
+            for kind in runs[0]["latency_p50_s"]}
 
 
 def summary(values: list[float]) -> dict:
@@ -93,6 +107,7 @@ def main(argv=None) -> int:
         doc["workloads"][workload] = {
             side: {**{m: summary([r[m] for r in runs[side]]) for m in METRICS},
                    "median_passes": statistics.median(r["passes"] for r in runs[side]),
+                   "latency_p50_s": latency_medians(runs[side]),
                    "failed": sum(r["failed"] for r in runs[side]), "runs": runs[side]}
             for side in sides
         }
