@@ -538,7 +538,8 @@ _WINDOW = 64
 def _sieving_primes(bound: int) -> np.ndarray:
     """The primes up to bound, built on first use, read-only, and shared by
     later searches and by prime_segments for its base primes."""
-    primes = np.concatenate([np.empty(0, dtype=np.int64), *prime_segments(2, bound, ceiling=bound)])
+    segments = prime_segments(2, bound, ceiling=bound)
+    primes = np.concatenate([np.empty(0, dtype=np.int64), *segments])
     primes.flags.writeable = False
     return primes
 

@@ -111,7 +111,8 @@ def _concatenated(lo, hi):
 
 
 def _segment_edges(lo, count):
-    """The first integers of a prime_segments(lo, ...) call's segments 2..count+1."""
+    """Where the second and each later segment of a prime_segments(lo, ...) call
+    starts, for count segments after the first."""
     edges, size = [], 1 << 10
     for _ in range(count):
         edges.append((edges[-1] if edges else lo) + size)
@@ -142,11 +143,13 @@ class TestPrimeSegments:
             assert _concatenated(lo, hi) == list(sympy.primerange(lo, hi + 1))
         assert _concatenated(p * p - 1, p * p) == []
 
-    @pytest.mark.parametrize("lo", [2, 3, 1000, 1001])
-    def test_across_every_segment_edge(self, lo):
-        edges = _segment_edges(lo, 6)
-        for hi in (edges[0] - 1, edges[0], edges[2] + 1, edges[-1] + 1000):
-            assert _concatenated(lo, hi) == list(sympy.primerange(lo, hi + 1))
+    def test_across_every_segment_edge(self):
+        # a call's segments end at each edge or exactly at hi; one oracle serves all
+        calls = [(lo, hi) for lo in (2, 3, 1000, 1001)
+                 for edge in _segment_edges(lo, 5) for hi in (edge - 1, edge, edge + 1000)]
+        oracle = list(sympy.primerange(2, max(hi for _, hi in calls) + 1))
+        for lo, hi in calls:
+            assert _concatenated(lo, hi) == [p for p in oracle if lo <= p <= hi]
 
     def test_base_primes_come_from_one_cached_table(self):
         # every hi in [2^18, 2^20) takes its base primes from the 2^10 table
