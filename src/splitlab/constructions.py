@@ -14,10 +14,11 @@ the same texts as issues.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .series import (
     Ratios,
     SeriesReport,
     StabilizationCertificate,
-    enclosure,
     first_reaching,
     range_terms,
     segment_terms,
@@ -283,46 +283,6 @@ def _tower_params(num_stages: int, sum_target: float, *, stage_cap: int, **budge
     return {"stages": num_stages, "sum_target": sum_target, **budgets}
 
 
-def _scan_block(
-    field: MultiquadField, lo: int, target: float, residue_filter: Optional[tuple[int, int]],
-    *, sieve_ceiling: int, stage: int, hi: Optional[int] = None,
-) -> tuple[list[int], float, int, bool]:
-    """Collect the range_terms terms from `lo` until their real sum reaches the
-    target, as series.first_reaching decides it; returns (block primes, block
-    math.fsum, last prime, whether the block reached the target).  A block still
-    short at `hi` is returned with hi as its last prime; one short at the sieve
-    ceiling raises."""
-    end = sieve_ceiling if hi is None else min(hi, sieve_ceiling)
-    block: list[int] = []
-    terms: list[float] = []
-    sums: list[float] = []  # per segment, the fsum of its terms
-    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def ratios(k: int) -> Ratios:
-        return term_ratios(*(np.concatenate(column)[:k] for column in zip(*rows)))
-
-    for p, e, f, seg_terms in range_terms(
-        field, lo, end, residue_filter=residue_filter, sieve_ceiling=sieve_ceiling
-    ):
-        block += p.tolist()
-        seg = seg_terms.tolist()
-        terms += seg
-        sums.append(math.fsum(seg))
-        rows.append((p, e, f))
-        # The enclosure of the total of segment fsums holds the real sum too, so
-        # while its top stays below the target, so does every prefix's real sum.
-        if enclosure(math.fsum(sums))[1] < target:
-            continue
-        k = first_reaching(terms, target, ratios)
-        if k is not None:
-            return block[:k], math.fsum(terms[:k]), block[k - 1], True
-    if end == hi:  # the range ran out before the sieve did
-        return block, math.fsum(terms), hi, False
-    raise ResourceBudgetError(
-        f"stage {stage}: block scan exhausted the sieve ceiling {sieve_ceiling}"
-    )
-
-
 @dataclass(frozen=True)
 class BlockShape:
     """A tower's block rule: stage k's block holds the primes from n_{k-1} + after
@@ -335,13 +295,30 @@ class BlockShape:
 
     def block(self, field: MultiquadField, n_prev: int, target: float, *, sieve_ceiling: int,
               stage: int, n: Optional[int] = None) -> tuple[list[int], float, int, bool]:
-        """(block primes, block sum, n_k, reached) on `field`; a stored n_k ends the
-        scan at the last prime it admits, and a block short of the target there keeps
-        that n_k with reached False."""
-        block, total, last, reached = _scan_block(
-            field, n_prev + self.after, target, self.residue_filter, sieve_ceiling=sieve_ceiling,
-            stage=stage, hi=None if n is None else n - self.past_last)
-        return block, total, last + self.past_last, reached
+        """(block primes, block math.fsum, n_k, reached) on `field`, the crossing
+        decided by series.first_reaching; a stored n_k ends the scan at the last
+        prime it admits, and a block short of the target there keeps that n_k
+        with reached False.  A block short at the sieve ceiling raises."""
+        hi = None if n is None else n - self.past_last
+        end = sieve_ceiling if hi is None else min(hi, sieve_ceiling)
+        primes: list[np.ndarray] = []  # of every segment pulled
+
+        def segments() -> Iterator[tuple[np.ndarray, Callable[[], Ratios]]]:
+            for p, e, f, terms in range_terms(field, n_prev + self.after, end,
+                                              residue_filter=self.residue_filter,
+                                              sieve_ceiling=sieve_ceiling):
+                primes.append(p)
+                yield terms, functools.partial(term_ratios, p, e, f)
+
+        k, total, reached = first_reaching(segments(), target)
+        block = list(chain.from_iterable(p.tolist() for p in primes))[:k]
+        if reached:
+            return block, total, block[-1] + self.past_last, True
+        if end == hi:  # the range ran out before the sieve did
+            return block, total, n, False
+        raise ResourceBudgetError(
+            f"stage {stage}: block scan exhausted the sieve ceiling {sieve_ceiling}"
+        )
 
 
 DIVERGENCE_BLOCK = BlockShape(after=0, residue_filter=(3, 4), past_last=1)  # [n_{k-1}, n_k)

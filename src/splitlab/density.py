@@ -127,8 +127,9 @@ def density_checkpoints(
     marks: list[int] = []
     mark = float(_MIN_X)
     factor = 10.0 ** (1.0 / per_decade)
-    while round(mark) < x:
-        marks.append(round(mark))
+    while (at := round(mark)) < x:
+        if at not in marks[-1:]:  # at a high per_decade, close marks round alike
+            marks.append(at)
         mark *= factor
     marks.append(x)
     return _reports(field, marks, residue_filter, sieve_ceiling)

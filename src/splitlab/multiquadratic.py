@@ -11,6 +11,7 @@ disjointness and class enumeration cheap bit pushing.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Union
@@ -72,7 +73,7 @@ class MultiquadField:
         cls, generators: Iterable[Union[int, SquarefreeInt]]
     ) -> "MultiquadField":
         return cls._from_rows(  # 1 is the trivial square class
-            (g if isinstance(g, SquarefreeInt) else SquarefreeInt.from_int(int(g))).atoms
+            (g if isinstance(g, SquarefreeInt) else SquarefreeInt.from_int(operator.index(g))).atoms
             for g in generators if g != 1)
 
     @property

@@ -9,6 +9,7 @@ liminf over an infinite-degree field).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,6 +20,9 @@ from .primes import DEFAULT_SIEVE_CEILING, is_prime, prime_segments
 from .series import Ratios, first_reaching
 
 _TAIL_PARTIAL_CEILING = 10**6
+
+# Window terms per segment fed to first_reaching.
+_WINDOW_SLICE = 1024
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,8 @@ def northcott_bounds(primes: Sequence[int]) -> NorthcottBounds:
         raise ValueError("the prime set must be nonempty")
     ordered = sorted(primes)
     for i, p in enumerate(ordered):
+        if type(p) is not int:
+            raise ValueError(f"prime {p!r} is not an integer")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if i and p == ordered[i - 1]:
@@ -48,6 +54,11 @@ def _sum_bounds(ordered: list[int]) -> NorthcottBounds:
     lo = math.fsum(math.log(p) / (p + 1) for p in ordered)
     hi = math.fsum(math.log(p) / (p - 1) for p in ordered)
     return NorthcottBounds(tuple(ordered), 0.5 * lo, hi)
+
+
+def _upper_ratios(primes: np.ndarray) -> Ratios:
+    """The upper-bound terms log(p)/(p - 1) exactly, as (p, p - 1)."""
+    return ((p, p - 1) for p in primes.tolist())
 
 
 def select_prime_window(
@@ -98,20 +109,16 @@ def select_prime_window(
 
     # The window is the longest run from c whose upper sum stays within 2r,
     # i.e. one prime short of the first prefix whose real sum exceeds 2r (the
-    # real sum is transcendental, so it never equals 2r).  numpy's running sum
-    # places that prefix to within rounding; first_reaching decides it on the
-    # terms up to just past there, and on all terms only if those fall short.
-    # A list of every term (~78k, 2.5 MB) would set peak memory.
+    # real sum is transcendental, so it never equals 2r).  first_reaching
+    # decides that prefix, reading the terms a slice at a time.
     upper = logs[c:] / (x[c:] - 1.0)
-    two_r = 2.0 * r
-
-    def ratios(k: int) -> Ratios:
-        return ((p, p - 1) for p in primes[c : c + k].tolist())
-
-    cut = int(np.searchsorted(np.cumsum(upper), two_r)) + 2
-    k = (first_reaching(upper[:cut].tolist(), two_r, ratios)
-         or first_reaching(upper.tolist(), two_r, ratios))
-    if k is None:
+    k, _, reached = first_reaching(
+        ((upper[i : i + _WINDOW_SLICE],
+          functools.partial(_upper_ratios, primes[c + i : c + i + _WINDOW_SLICE]))
+         for i in range(0, len(upper), _WINDOW_SLICE)),
+        2.0 * r,
+    )
+    if not reached:
         raise ValueError(
             f"window exceeded the prime ceiling {tail_ceiling}; raise it or shrink r"
         )

@@ -11,6 +11,7 @@ import ctypes
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -300,7 +301,7 @@ def is_prime(n: int) -> bool:
     Larger inputs additionally pass a strong Lucas-Selfridge test; the whole
     battery uses fixed parameters, so results are reproducible at any size.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _TINY_PRIMES:
@@ -377,7 +378,7 @@ def primality(n: int, factor_base: Iterable[int]) -> Optional[str]:
     n - 1 over them decides which test runs.  Below MR_PROVEN_BOUND is_prime
     is a proof; above it _prove_by_n_minus_1 decides.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < MR_PROVEN_BOUND:
         return PROVED if is_prime(n) else None
     return _prove_by_n_minus_1(n, factor_base)
@@ -671,6 +672,7 @@ class FactoredInt:
         out.  A cofactor still composite at the ceiling is rejected rather
         than guessed at.
         """
+        n = operator.index(n)
         if n == 0:
             raise ValueError("cannot factor 0")
         sign = 1 if n > 0 else -1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -75,36 +75,47 @@ def real_sum_reaches(ratios: Ratios, target: float) -> bool:
 
 
 def first_reaching(
-    terms: Sequence[float], target: float, ratios: Optional[Callable[[int], Ratios]] = None
-) -> Optional[int]:
-    """Length of the shortest prefix of non-negative terms that reaches
-    target, or None if no prefix does.
+    segments: Iterable[tuple[np.ndarray, Callable[[], Ratios]]], target: float
+) -> tuple[int, float, bool]:
+    """(k, math.fsum of the first k terms, True) for the shortest prefix of the
+    streamed terms whose real sum reaches target > 0, else (count of all terms,
+    their fsum, False).
 
-    Without ratios a prefix reaches the target when its math.fsum does.
-    With ratios, where ratios(k) gives the (p, d) of the first k terms, a
-    prefix reaches it when its real sum does: the enclosure of its fsum
-    decides, and where that straddles the target, real_sum_reaches.  Either
-    way prefix sums never decrease, so the crossing is found by bisection.
+    Each segment is (terms, ratios): a float64 array of non-negative terms and a
+    zero-argument callable yielding their exact (p, d), called only when a
+    prefix's enclosure straddles the target and real_sum_reaches decides.  No
+    segment past the one holding the crossing is pulled.  A prefix reaches the
+    target when its real sum does, so the k found does not depend on how the
+    terms are cut into segments.
     """
-    def reaches(k: int) -> bool:
-        total = math.fsum(terms[:k])
-        if ratios is None:
-            return total >= target
-        low, high = enclosure(total)
+    kept: list[list[float]] = []  # the terms of each segment pulled
+    pulls: list[Callable[[], Ratios]] = []  # and their ratios
+    sums: list[float] = []  # per segment, the fsum of its terms
+
+    def reaches(j: int) -> bool:  # the prefix ending j terms into the last segment
+        low, high = enclosure(math.fsum(chain(*kept[:-1], kept[-1][:j])))
         if low < target <= high:
-            return real_sum_reaches(ratios(k), target)
+            earlier = chain.from_iterable(ratios() for ratios in pulls[:-1])
+            return real_sum_reaches(chain(earlier, islice(pulls[-1](), j)), target)
         return low >= target
 
-    if not reaches(len(terms)):
-        return None
-    lo, hi = 0, len(terms)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    for terms, ratios in segments:
+        kept.append(terms.tolist())
+        pulls.append(ratios)
+        sums.append(math.fsum(kept[-1]))
+        # The enclosure of the total of segment fsums holds the real sum too, so
+        # while its top stays below the target, so does every prefix's real sum.
+        if enclosure(math.fsum(sums))[1] < target or not reaches(len(kept[-1])):
+            continue
+        lo, hi = 1, len(kept[-1])  # every prefix ending before this segment falls short
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if reaches(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return sum(map(len, kept[:-1])) + lo, math.fsum(chain(*kept[:-1], kept[-1][:lo])), True
+    return sum(map(len, kept)), math.fsum(chain(*kept)), False
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from itertools import chain
 
 import pytest
 
@@ -17,12 +18,12 @@ from splitlab.constructions import (
     build_divergence_tower,
     build_split_prime_tower,
     certify_adjoin_i_convergence,
-    _scan_block,
+    BlockShape,
     _smallest_split_aux_prime,
     construct_prescribed_quadratic,
     search_inert_companion,
 )
-from splitlab import cli, constructions, primes
+from splitlab import cli, constructions, primes, series
 from splitlab.errors import ResourceBudgetError, VerificationError
 from splitlab.multiquadratic import MultiquadField, linearly_disjoint, totally_split
 from splitlab.primes import MR_PROVEN_BOUND, PrimeRange, find_prime_in_ap, iter_primes, kronecker
@@ -236,13 +237,17 @@ class TestDivergenceTower:
             build_divergence_tower(3)
 
 
+# The primes p = 3 (mod 4) from n_prev on, up to the first whose term lifts the sum to the target.
+THREE_MOD_FOUR = BlockShape(after=0, residue_filter=(3, 4), past_last=0)
+
+
 def test_scan_block_equals_scalar_series_terms():
     # A mixed field, a residue filter and a block that runs over several
     # sieve segments: the block, its sum and its last prime all come from
     # series_term prime by prime.
     field = MultiquadField.from_generators([3, 7, 460_322_471_827])
-    block, block_sum, last_p, reached = _scan_block(
-        field, 1010, 0.3, (3, 4), sieve_ceiling=10**7, stage=0
+    block, block_sum, last_p, reached = THREE_MOD_FOUR.block(
+        field, 1010, 0.3, sieve_ceiling=10**7, stage=0
     )
     primes = [p for p in iter_primes(1010, last_p) if p % 4 == 3]
     terms = [series_term(field, p) for p in primes]
@@ -250,32 +255,42 @@ def test_scan_block_equals_scalar_series_terms():
     assert block_sum == math.fsum(terms) >= 0.3 > math.fsum(terms[:-1])
     # An upper end past the crossing changes nothing; one before it returns
     # the short block: every filtered prime up to it, summed below the target.
-    assert _scan_block(field, 1010, 0.3, (3, 4), sieve_ceiling=10**7, stage=0,
-                       hi=last_p + 1000) == (block, block_sum, last_p, True)
+    assert THREE_MOD_FOUR.block(field, 1010, 0.3, sieve_ceiling=10**7, stage=0,
+                                n=last_p + 1000) == (block, block_sum, last_p, True)
     hi = last_p - 1000
-    short, short_sum, end, short_reached = _scan_block(
-        field, 1010, 0.3, (3, 4), sieve_ceiling=10**7, stage=0, hi=hi
+    short, short_sum, end, short_reached = THREE_MOD_FOUR.block(
+        field, 1010, 0.3, sieve_ceiling=10**7, stage=0, n=hi
     )
     primes = [p for p in iter_primes(1010, hi) if p % 4 == 3]
     assert short == primes and end == hi and not short_reached
     assert short_sum == math.fsum(series_term(field, p) for p in primes) < 0.3
 
 
-def test_scan_block_decides_a_many_segment_block_at_most_twice(monkeypatch):
-    # Over Q, p = 3 (mod 4) from 2 to 6.0 spans seven sieve segments.  Only a
-    # segment whose total can reach the target runs first_reaching and its
-    # fsum over the whole block so far; the block is the prime-by-prime one.
-    reaching = constructions.first_reaching
-    calls = []
-    monkeypatch.setattr(constructions, "first_reaching",
-                        lambda *args: calls.append(args) or reaching(*args))
-    block, block_sum, last_p, reached = _scan_block(
-        MultiquadField.rationals(), 2, 6.0, (3, 4), sieve_ceiling=10**7, stage=0
+def test_scan_block_bisects_inside_the_crossing_segment(monkeypatch):
+    # Over Q, p = 3 (mod 4) from 2 to 6.0 spans seven sieve segments.  A
+    # prefix is probed only once the enclosure of the segment fsums' total
+    # can reach the target, and the bisection then stays inside the seventh
+    # segment: every probed prefix ends in it.
+    segments, probes = [], []
+    range_terms = constructions.range_terms
+    monkeypatch.setattr(constructions, "range_terms", lambda *args, **kwargs: (
+        segments.append(seg[3].tolist()) or seg for seg in range_terms(*args, **kwargs)))
+    enclosure = series.enclosure
+    monkeypatch.setattr(series, "enclosure", lambda total: probes.append(total) or enclosure(total))
+    block, block_sum, last_p, reached = THREE_MOD_FOUR.block(
+        MultiquadField.rationals(), 2, 6.0, sieve_ceiling=10**7, stage=0
     )
     primes = [p for p in iter_primes(2, last_p) if p % 4 == 3]
     terms = [series_term(MultiquadField.rationals(), p) for p in primes]
-    assert block == primes and last_p == 716_959 and reached and 1 <= len(calls) <= 2
+    assert block == primes and last_p == 716_959 and reached and len(segments) == 7
     assert block_sum == math.fsum(terms) == 6.000016996251959 > math.fsum(terms[:-1])
+    # One enclosure per segment, of the running total of segment fsums, and
+    # no probe before the seventh: then the whole block, and the bisection.
+    assert probes[:7] == [math.fsum(map(math.fsum, segments[:i])) for i in range(1, 8)]
+    probed = probes[7:]
+    assert probed[0] == math.fsum(chain.from_iterable(segments))
+    assert min(probed) > math.fsum(chain.from_iterable(segments[:6]))
+    assert len(probed) <= 1 + len(segments[6]).bit_length()
 
 
 @pytest.mark.parametrize("build", [build_divergence_tower, build_split_prime_tower])

@@ -94,6 +94,14 @@ class TestCheckpoints:
         assert counts == sorted(counts)
         assert reports[-1].count == count_totally_split(GAUSS, 5000).count
 
+    def test_dense_marks_are_not_repeated(self):
+        # At 1000 a decade, marks from 100 on lie closer than 1 and many
+        # round alike; each rounded mark is kept once.
+        five = MultiquadField.from_generators([5])
+        xs = [r.x for r in density_checkpoints(five, 1000, per_decade=1000)]
+        assert xs == sorted(set(xs)) and len(xs) == 698
+        assert xs[:3] == [100, 101, 102] and xs[-1] == 1000
+
     @pytest.mark.parametrize("per_decade", [0, -1])
     def test_per_decade_below_one_rejected(self, per_decade):
         with pytest.raises(ValueError, match="per_decade"):

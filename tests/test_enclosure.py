@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from splitlab import series
-from splitlab.constructions import _scan_block, build_divergence_tower, build_split_prime_tower
+from splitlab.constructions import (
+    DIVERGENCE_BLOCK,
+    SPLIT_PRIME_BLOCK,
+    build_divergence_tower,
+    build_split_prime_tower,
+)
 from splitlab.multiquadratic import MultiquadField, local_data
 from splitlab.northcott import select_prime_window
 from splitlab.primes import is_prime, iter_primes, prime_segments
@@ -105,6 +110,11 @@ class TestLogErrorBound:
         assert [series_term(field, p) for p in sampled_primes] == terms.tolist()
 
 
+def _float_rule(terms, target):
+    """The first k whose prefix fsum reaches target: the crossing on float sums."""
+    return next(k for k in range(1, len(terms) + 1) if math.fsum(terms[:k]) >= target)
+
+
 def _straddling_prefix(terms, ratios, low):
     """The first k, with fsum at least low, whose prefix fsum S lies above its
     real sum: at target S the float rule says reached, the real sum says not."""
@@ -135,22 +145,22 @@ class TestStraddlingTargets:
         k, target = _straddling_prefix(terms, ratios, 0.5)
         low, high = enclosure(target)
         assert low < target <= high
-        assert first_reaching(terms, target) == k  # the float rule
-        assert resums == []
-        assert first_reaching(terms, target, lambda j: ratios[:j]) == k + 1
+        assert _float_rule(terms, target) == k
+        got = first_reaching([(np.array(terms), lambda: iter(ratios))], target)
+        assert got == (k + 1, math.fsum(terms[:k + 1]), True)
         assert resums and not resums[-1]
 
-    @pytest.mark.parametrize("build, residue_filter, lo", [
-        (build_divergence_tower, (3, 4), 1),
-        (build_split_prime_tower, None, 2),
+    @pytest.mark.parametrize("build, shape", [
+        (build_divergence_tower, DIVERGENCE_BLOCK),
+        (build_split_prime_tower, SPLIT_PRIME_BLOCK),
     ])
-    def test_tower_block_is_decided_by_the_resum(self, resums, build, residue_filter, lo):
-        block, terms, ratios = _block_rows(Q, lo, 1000, residue_filter)
+    def test_tower_block_is_decided_by_the_resum(self, resums, build, shape):
+        # Stage 1 starts from n_0 = 1.
+        block, terms, ratios = _block_rows(Q, 1 + shape.after, 1000, shape.residue_filter)
         k, target = _straddling_prefix(terms, ratios, 0.8)
-        got, total, last, reached = _scan_block(Q, lo, target, residue_filter,
-                                                sieve_ceiling=10**6, stage=1)
-        assert (got, total, last, reached) == (block[:k + 1], math.fsum(terms[:k + 1]),
-                                               block[k], True)
+        got = shape.block(Q, 1, target, sieve_ceiling=10**6, stage=1)
+        assert got == (block[:k + 1], math.fsum(terms[:k + 1]), block[k] + shape.past_last,
+                       True)
         assert False in resums
         # The builder stops where the scan does, and the verifier, which runs
         # the same scan up to the stored threshold, agrees with it.
@@ -165,7 +175,7 @@ class TestStraddlingTargets:
         terms = (np.log(x) / (x - 1.0)).tolist()
         ratios = [(p, p - 1) for p in primes]
         k, two_r = _straddling_prefix(terms, ratios, 1.5)
-        assert first_reaching(terms, two_r) == k  # the float rule would end the window before p_k
+        assert _float_rule(terms, two_r) == k  # it would end the window before p_k
         window, bounds = select_prime_window(two_r / 2, 0.25)
         assert window == primes[:k] and False in resums
         assert bounds.upper <= two_r

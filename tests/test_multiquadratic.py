@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,11 @@ class TestCanonicalBasis:
     def test_adjoin_first_generator(self):
         f = MultiquadField.rationals().adjoin(2)
         assert [b.value for b in f.basis] == [2]
+
+    def test_non_integer_generator_rejected(self):
+        with pytest.raises(TypeError):
+            MultiquadField.from_generators([2.5, 3])
+        assert MultiquadField.from_generators([np.int64(2), 3]) == MultiquadField.from_generators([2, 3])
 
     def test_adjoin_dependent_class_is_noop(self):
         f = MultiquadField.from_generators([2, 3])

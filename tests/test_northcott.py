@@ -1,5 +1,7 @@
 import math
+import random
 import re
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -36,6 +38,12 @@ class TestBounds:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             northcott_bounds([4])
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(ValueError, match=r"^prime 2\.5 is not an integer$"):
+            northcott_bounds([2.5, 3])
+        with pytest.raises(ValueError, match="not an integer"):
+            northcott_bounds([3.0])
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
@@ -156,3 +164,33 @@ def test_selector_does_not_reprove_its_window(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert bounds == northcott_bounds(window)
+
+
+def test_window_end_against_a_decimal_reference():
+    # A seeded sweep at epsilon 0.25, where every window starts at 11, with
+    # r = 5.0 from demo 07.  Against the 50-digit real sums of log(p)/(p - 1)
+    # from 11 on, the window's sum is within 2r and one more prime takes it
+    # past; a window that would pass the ceiling is refused only when every
+    # term below it still sums to less than 2r.
+    rng = random.Random(25)
+    rs = [rng.uniform(0.3, 6.0) for _ in range(10)] + [5.0]
+    primes = list(iter_primes(11, 10**6))
+    real = [Decimal(0)]
+    with localcontext(prec=50):
+        for p in primes:
+            if real[-1] > 2 * max(rs):
+                break
+            real.append(real[-1] + Decimal(p).ln() / (p - 1))
+    # Crossings on the k-th term for k = 2^j and 2^j + 1: the last term of a
+    # power-of-two slice of the window's terms, and the first of the next.
+    rs += [float((real[k - 1] + real[k]) / 4) for j in range(6, 15) for k in (2**j, 2**j + 1)]
+    for r in rs:
+        two_r = Decimal(2.0 * r)
+        try:
+            window, _ = select_prime_window(r, 0.25)
+        except ValueError as exc:
+            assert str(exc) == "window exceeded the prime ceiling 1000000; raise it or shrink r"
+            assert len(real) == len(primes) + 1 and real[-1] <= two_r, r
+            continue
+        n = len(window)
+        assert window == primes[:n] and real[n] <= two_r < real[n + 1], r

@@ -2,6 +2,7 @@ import ctypes
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -165,6 +166,18 @@ class TestPrimeSegments:
 
 
 class TestIsPrime:
+    @pytest.mark.parametrize("n", [7.9, 2.5, 7.0])
+    def test_non_integer_rejected(self, n):
+        # int() would truncate 7.9 to the prime 7
+        with pytest.raises(TypeError):
+            is_prime(n)
+        with pytest.raises(TypeError):
+            primality(n, [])
+
+    def test_numpy_integers_accepted(self):
+        assert is_prime(np.int64(7)) and not is_prime(np.uint32(9))
+        assert primality(np.int64(7), []) == PROVED
+
     def test_small_range_against_sieve(self):
         # past 67**2 = 4489, where trial division alone stops deciding
         marks = set(trial_division_primes(2, 6000))
@@ -613,6 +626,10 @@ class TestFactoredInt:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             FactoredInt.from_int(0)
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(TypeError):
+            FactoredInt.from_int(10.5)
 
     def test_units(self):
         assert FactoredInt.from_int(1).value == 1

@@ -1,17 +1,23 @@
+import functools
 import math
 import random
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 from splitlab.errors import VerificationError
 from splitlab.multiquadratic import MultiquadField, compositum, local_data
 from splitlab.primes import PrimeRange, iter_primes
+from splitlab import series
 from splitlab.series import (
     StabilizationCertificate,
     first_reaching,
     partial_sum,
+    segment_terms,
     series_term,
     tail_bound_fully_inert,
+    term_ratios,
     tower_sum,
 )
 
@@ -19,34 +25,101 @@ Q = MultiquadField.rationals()
 GAUSS = MultiquadField.from_generators([-1])
 
 
-class TestFirstReaching:
-    def test_minimal_prefix(self):
-        terms = [0.25, 0.5, 0.125, 1.0]
-        assert first_reaching(terms, 0.8) == 3
-        assert first_reaching(terms, 0.75) == 2
-        assert first_reaching(terms, 0.1) == 1
+def _segments(p, e, f, sizes):
+    """The terms log(p)/(e (p^f + 1)) of the int lists p, e, f with their exact
+    ratios, cut into consecutive segments of the given sizes."""
+    p, e, f = (np.array(v, dtype=np.int64) for v in (p, e, f))
+    cuts = np.cumsum([0, *sizes]).tolist()
+    return [(segment_terms(p[i:j], e[i:j], f[i:j]),
+             functools.partial(term_ratios, p[i:j], e[i:j], f[i:j]))
+            for i, j in zip(cuts, cuts[1:])]
 
-    def test_exact_tie_reaches(self):
-        assert first_reaching([0.5, 0.5, 0.5], 1.0) == 2
-        assert first_reaching([0.1, 0.2, 0.3], math.fsum([0.1, 0.2])) == 2
+
+def _q_segments(primes, sizes=None):
+    """Over Q, where every prime splits: the terms log(p)/(p + 1)."""
+    ones = [1] * len(primes)
+    return _segments(primes, ones, ones, [len(primes)] if sizes is None else sizes)
+
+
+def _decimal_prefixes(p, e, f):
+    """The real prefix sums of log(p)/(e (p^f + 1)) at 50 digits, from the empty one."""
+    sums = [Decimal(0)]
+    with localcontext(prec=50):
+        for q, ramification, degree in zip(p, e, f):
+            sums.append(sums[-1] + Decimal(q).ln() / (ramification * (q**degree + 1)))
+    return sums
+
+
+class TestFirstReaching:
+    PRIMES = list(iter_primes(2, 200))
+
+    def test_minimal_prefix(self):
+        terms = [series_term(Q, p) for p in (2, 3, 5, 7)]  # 0.231, 0.275, 0.268, 0.243
+        for target, k in ((0.8, 4), (0.5, 2), (0.1, 1)):
+            got = first_reaching(_q_segments([2, 3, 5, 7]), target)
+            assert got == (k, math.fsum(terms[:k]), True)
+
+    def test_target_at_a_prefix_fsum_is_decided_on_the_real_sum(self):
+        # A prefix's fsum lies inside its own enclosure, so each of these
+        # targets is decided by the decimal re-sum, never by the fsum.
+        terms = _q_segments(self.PRIMES)[0][0].tolist()
+        real = _decimal_prefixes(self.PRIMES, [1] * len(terms), [1] * len(terms))
+        for k in range(1, len(terms)):
+            target = math.fsum(terms[:k])
+            want = k if real[k] >= Decimal(target) else k + 1
+            assert first_reaching(_q_segments(self.PRIMES), target) == (
+                want, math.fsum(terms[:want]), True)
 
     def test_unreachable_target(self):
-        assert first_reaching([0.25, 0.5], 0.76) is None
-        assert first_reaching([], 1.0) is None
+        terms = [series_term(Q, p) for p in (2, 3)]
+        assert first_reaching(_q_segments([2, 3]), 0.6) == (2, math.fsum(terms), False)
+        assert first_reaching([], 1.0) == (0, 0.0, False)
+        assert first_reaching(_q_segments([], [0, 0]), 1.0) == (0, 0.0, False)
 
     def test_single_term(self):
-        assert first_reaching([2.0], 2.0) == 1
-        assert first_reaching([2.0], math.nextafter(2.0, math.inf)) is None
+        term = series_term(Q, 2)
+        low, high = series.enclosure(term)
+        assert first_reaching(_q_segments([2]), low) == (1, term, True)
+        assert first_reaching(_q_segments([2]), math.nextafter(high, math.inf)) == (
+            1, term, False)
 
-    def test_matches_a_linear_scan_of_fsum_prefixes(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            terms = [rng.random() * 10.0 ** rng.randint(-12, 0) for _ in range(rng.randint(1, 40))]
-            target = math.fsum(terms) * rng.random() * 1.2
-            want = next(
-                (k for k in range(len(terms) + 1) if math.fsum(terms[:k]) >= target), None
-            )
-            assert first_reaching(terms, target) == want
+    def test_matches_a_linear_scan_of_decimal_prefixes(self):
+        # However the terms are cut, the crossing is the first prefix whose
+        # real sum reaches the target.  Half the targets sit on a prefix's
+        # fsum, where only the decimal re-sum decides.
+        rng = random.Random(25)
+        primes = list(iter_primes(2, 5000))
+        for _ in range(40):
+            n = rng.randint(1, 60)
+            start = rng.randrange(len(primes) - n)
+            p = primes[start : start + n]
+            e, f = [rng.choice((1, 2)) for _ in p], [rng.choice((1, 2)) for _ in p]
+            terms = segment_terms(*(np.array(v, dtype=np.int64) for v in (p, e, f))).tolist()
+            if rng.random() < 0.5:
+                target = math.fsum(terms[: rng.randint(1, n)])
+            else:
+                target = math.fsum(terms) * rng.uniform(0.01, 1.2)
+            real = _decimal_prefixes(p, e, f)
+            k = next((j for j in range(1, n + 1) if real[j] >= Decimal(target)), None)
+            want = (n, math.fsum(terms), False) if k is None else (
+                k, math.fsum(terms[:k]), True)
+            cuts = rng.sample(range(1, n), min(n - 1, rng.randint(1, 6)))
+            sizes = [j - i for i, j in zip([0, *sorted(cuts)], [*sorted(cuts), n])]
+            for cut in ([n], sizes, [1] * n):
+                assert first_reaching(_segments(p, e, f, cut), target) == want, (p, cut)
+
+    def test_pulls_no_segment_after_the_crossing_one(self):
+        pulled = []
+
+        def stream():
+            for i, segment in enumerate(_q_segments(self.PRIMES, [10] * 4 + [6])):
+                pulled.append(i)
+                yield segment
+
+        terms = [series_term(Q, p) for p in self.PRIMES]
+        target = math.fsum(terms[:15]) + 0.01  # reached at the 16th term, in segment 1
+        assert first_reaching(stream(), target) == (16, math.fsum(terms[:16]), True)
+        assert pulled == [0, 1]
 
 
 class TestSeriesTerm:
