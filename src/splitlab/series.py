@@ -88,34 +88,34 @@ def first_reaching(
     target when its real sum does, so the k found does not depend on how the
     terms are cut into segments.
     """
-    kept: list[list[float]] = []  # the terms of each segment pulled
-    pulls: list[Callable[[], Ratios]] = []  # and their ratios
+    terms: list[float] = []  # every term pulled
+    pulls: list[Callable[[], Ratios]] = []  # each segment's ratios
     sums: list[float] = []  # per segment, the fsum of its terms
 
-    def reaches(j: int) -> bool:  # the prefix ending j terms into the last segment
-        low, high = enclosure(math.fsum(chain(*kept[:-1], kept[-1][:j])))
+    def reaches(k: int) -> bool:
+        low, high = enclosure(math.fsum(terms[:k]))
         if low < target <= high:
-            earlier = chain.from_iterable(ratios() for ratios in pulls[:-1])
-            return real_sum_reaches(chain(earlier, islice(pulls[-1](), j)), target)
+            ratios = chain.from_iterable(pull() for pull in pulls)
+            return real_sum_reaches(islice(ratios, k), target)
         return low >= target
 
-    for terms, ratios in segments:
-        kept.append(terms.tolist())
+    for segment, ratios in segments:
+        terms += segment.tolist()
         pulls.append(ratios)
-        sums.append(math.fsum(kept[-1]))
+        sums.append(math.fsum(terms[len(terms) - len(segment) :]))
         # The enclosure of the total of segment fsums holds the real sum too, so
         # while its top stays below the target, so does every prefix's real sum.
-        if enclosure(math.fsum(sums))[1] < target or not reaches(len(kept[-1])):
+        if enclosure(math.fsum(sums))[1] < target or not reaches(len(terms)):
             continue
-        lo, hi = 1, len(kept[-1])  # every prefix ending before this segment falls short
+        lo, hi = len(terms) - len(segment) + 1, len(terms)  # earlier prefixes fall short
         while lo < hi:
             mid = (lo + hi) // 2
             if reaches(mid):
                 hi = mid
             else:
                 lo = mid + 1
-        return sum(map(len, kept[:-1])) + lo, math.fsum(chain(*kept[:-1], kept[-1][:lo])), True
-    return sum(map(len, kept)), math.fsum(chain(*kept)), False
+        return lo, math.fsum(terms[:lo]), True
+    return len(terms), math.fsum(terms), False
 
 
 @dataclass(frozen=True)
