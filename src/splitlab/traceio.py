@@ -6,13 +6,13 @@ are byte-identical.  validate_schema() walks a document against the schema
 once: it raises at the first shape error, else returns the integer places
 that hold a float such as 32.0, which the verifier reports as its only
 issues.  verify_trace_doc() re-derives every stage check from scratch with
-the builders' own stage rules, and trace_from_doc() returns the stage records
-it derived, only for a document it accepts; trace_to_doc() alone gives a
-document its shape.  Documents store no verdicts: the flag lists stay empty,
-and a false flag in an older document is still reported.  Each generator's
-primes are proved over a factor base the verifier derives from the
-prescription, never from the document; verify_with_primality() says which
-were only probable.
+the builders' own stage rules, then compares the document whole with the one
+its derived records give, and trace_from_doc() returns those records, only
+for a document it accepts; trace_to_doc() alone gives a document its shape.
+Documents store no verdicts: the flag lists stay empty, and a false flag in
+an older document is still reported.  Each generator's primes are proved
+over a factor base the verifier derives from the prescription, never from
+the document; verify_with_primality() says which were only probable.
 """
 
 from __future__ import annotations
@@ -260,24 +260,50 @@ def trace_from_doc(
 _Proved = list[Optional[tuple[StageRecord, str]]]
 
 
+def _mismatches(derived: dict, stored: dict) -> list[str]:
+    """The keys, underscores as spaces, where a stored document or stage
+    differs from the derived one as sorted-key JSON, an absent key reading
+    as null.  See _same for what matches."""
+    if json.dumps(derived, sort_keys=True) == json.dumps(stored, sort_keys=True):
+        return []  # the common case, in two calls of the C encoder
+    return [key.replace("_", " ") for key in sorted(derived.keys() | stored.keys())
+            if key not in derived or not _same(key, derived[key], stored.get(key))]
+
+
+def _same(key: str, want: Any, got: Any) -> bool:
+    """Flag lists are the stored-flag check's; a stored block sum or Widmer
+    log quantity matches within its tolerance; objects, alone or in a list
+    (the schema has made the stored ones objects), match key by key."""
+    if key in ("certificates", "certified_inequalities"):
+        return True
+    if key == "block_sum" and type(got) is float:
+        return math.isclose(got, want, rel_tol=_STORED_SUM_REL, abs_tol=0.0)
+    if key == "log_quantity" and type(got) is float:
+        return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    if isinstance(want, dict) and isinstance(got, dict):
+        return not _mismatches(want, got)
+    if isinstance(want, list) and want and isinstance(want[0], dict):
+        return len(got) == len(want) and not any(map(_mismatches, want, got))
+    return json.dumps(want, sort_keys=True) == json.dumps(got, sort_keys=True)
+
+
 def _tower_stages(
     doc: dict, issues: list[str], proved: _Proved, shape: BlockShape, target: float,
     sieve_ceiling: int, prescription: Callable[[int], Optional[SplittingSpec]],
-) -> Iterator[tuple[dict, MultiquadField, StageRecord, Optional[SplittingSpec]]]:
-    """(stored stage, previous field, derived record, prescription) per stage.
-    The builders' block rule runs first, up to the stored threshold, and
-    derives n; prescription(n) is the stage's prescription, its primes and 2
-    the factor base of the generator's proof.  A stored block, index or
-    cumulative field other than the derived one is reported, and so is a
-    field_added that fails its factorization: its stage is skipped, and the
-    stages after it keep their stored n, block and block sum.  The record
-    keeps the stored auxiliary primes, which the stage rule checks; a
-    split-prime generator p >= 2 gives its discriminant-norm record."""
+) -> Iterator[tuple[MultiquadField, StageRecord, Optional[SplittingSpec]]]:
+    """(previous field, derived record, prescription) per stage, for the
+    stage rule.  The builders' block rule runs first, up to the stored
+    threshold, and derives n; prescription(n) is the stage's prescription,
+    its primes and 2 the factor base of the generator's proof.  A stage whose
+    field_added fails its factorization is skipped, and the stages after it
+    keep their stored n, block and block sum.  The record keeps the stored
+    auxiliary primes; a split-prime generator p >= 2 gives its
+    discriminant-norm record.  A stage with no other issue must be the one
+    its record gives."""
     split_prime = doc["construction"] == PROP71_TOWER
     previous, n_prev = MultiquadField.rationals(), 1
     for k, stage in enumerate(doc["stages"], 1):
-        if stage["index"] != k:
-            issues.append(f"stage {k}: index {stage['index']} is not the stage's position")
+        before = len(issues)
         block, total, n = stage["block_primes"], stage["block_sum"], stage["n"]
         if all(proved):  # else the stage's base field is unknown, and it keeps the stored values
             block, total, n, reached = shape.block(previous, n_prev, target,
@@ -290,11 +316,6 @@ def _tower_stages(
                               f"reaches target {target}")
             elif n != stage["n"]:
                 issues.append(f"stage {k}: the last block prime is not {last}")
-            elif block != stage["block_primes"]:
-                issues.append(f"stage {k}: block primes differ from the recomputed block")
-            elif not math.isclose(total, stage["block_sum"], rel_tol=_STORED_SUM_REL, abs_tol=0.0):
-                issues.append(f"stage {k}: recomputed block sum {total} != stored "
-                              f"{stage['block_sum']}")
         n_prev, spec = n, prescription(n)
         try:
             added, label = _factored_from_doc(stage["field_added"], proof_factor_base(spec))
@@ -308,10 +329,10 @@ def _tower_stages(
             widmer=widmer_term(k, added.value) if split_prime and added.value >= 2 else None,
         )
         proved.append((record, label))
-        yield stage, previous, record, spec
+        yield previous, record, spec
         previous = record.cumulative_field
-        if [_factored_to_doc(b) for b in previous.basis] != stage["cumulative_field"]:
-            issues.append(f"stage {k}: cumulative field does not match the recomputation")
+        if len(issues) == before and (keys := _mismatches(_stage_to_doc(record), stage)):
+            issues.append(f"stage {k}: {', '.join(keys)} does not match the recomputation")
 
 
 def _verify_thm12(doc: dict, target: float, sieve_ceiling: int, proved: _Proved) -> list[str]:
@@ -321,15 +342,13 @@ def _verify_thm12(doc: dict, target: float, sieve_ceiling: int, proved: _Proved)
 
     issues: list[str] = []
     sums: list[float] = []
-    for stage, previous, record, spec in _tower_stages(
+    for previous, record, spec in _tower_stages(
             doc, issues, proved, DIVERGENCE_BLOCK, target, sieve_ceiling, prescription):
         sums.append(record.block_sum)
         added = record.field_added
         problems = divergence_stage_problems(previous, added, record.auxiliary_primes)
         if spec is not None:
             problems += prescription_problems(added, spec)
-        if stage.get("widmer") is not None:
-            problems.append("a divergence stage carries a discriminant-norm record")
         issues += [f"stage {record.index}: {msg}" for msg in problems]
     # Each recomputed block's real sum reaches the target, so an honest
     # document's real total reaches K·T and the top of its enclosure does too.
@@ -345,45 +364,34 @@ def _verify_prop71(doc: dict, target: float, sieve_ceiling: int, proved: _Proved
 
     issues: list[str] = []
     p_prev = 0
-    last_log = -math.inf
-    for stage, _, record, spec in _tower_stages(
+    for _, record, spec in _tower_stages(
             doc, issues, proved, SPLIT_PRIME_BLOCK, target, sieve_ceiling, prescription):
-        i, added, want = record.index, record.field_added, record.widmer
+        i, added = record.index, record.field_added
         problems = split_prime_stage_problems(added, record.n, p_prev)
         issues += [f"stage {i}: {msg}" for msg in problems + prescription_problems(added, spec)]
-        w = stage.get("widmer")
-        if w is None:
-            issues.append(f"stage {i}: missing discriminant-norm record")
-        else:
-            if w["stage"] != i:
-                issues.append(f"stage {i}: discriminant-norm record names stage {w['stage']}")
-            if want is not None:  # else the stage rule reports the generator
-                expect = want.log_quantity
-                if (w["norm_base"], w["norm_exponent"]) != (want.norm_base, want.norm_exponent):
-                    issues.append(f"stage {i}: discriminant-norm power mismatch")
-                if abs(w["log_quantity"] - expect) > 1e-12 * max(1.0, abs(expect)):
-                    issues.append(f"stage {i}: log quantity {w['log_quantity']} != {expect}")
-            if not w["log_quantity"] > last_log:
-                issues.append(f"stage {i}: discriminant-norm quantity fails to increase")
-            last_log = w["log_quantity"]
         p_prev = added.value
     return issues
 
 
 def _verify_tower(doc: dict, sieve_ceiling: int, proved: _Proved) -> list[str]:
-    """A tower's params must be ones its builder accepts, then its stages verify."""
+    """A tower's params must be ones its builder accepts, its params and
+    top-level keys what the builder writes for them; then its stages verify."""
     issues: list[str] = []
     params, count = doc["params"], len(doc["stages"])
     if params.get("stages") != count or type(params.get("stages")) is not int:
         issues.append(f"params: stages is {params.get('stages')!r}, the trace has {count}")
-    target = params.get("sum_target", 1.0)
+    target = params.get("sum_target")
     if not (isinstance(target, (int, float)) and valid_sum_target(target)):
         return issues + [f"params: sum target {target!r} is not finite and positive"]
     try:
-        _tower_params(count, target, stage_cap=count,
-                      **{name: params.get(name) for name in TOWER_BUDGETS})
+        derived = _tower_params(count, target, stage_cap=count,
+                                **{name: params.get(name) for name in TOWER_BUDGETS})
     except ValueError as exc:
         issues.append(f"params: {exc}")
+    else:
+        envelope = trace_to_doc(ConstructionTrace(doc["construction"], derived, ()))
+        if not issues and (keys := _mismatches(envelope, {**doc, "stages": []})):
+            issues.append(f"trace: {', '.join(keys)} does not match the recomputation")
     walk = _verify_thm12 if doc["construction"] == THM12_TOWER else _verify_prop71
     return issues + walk(doc, float(target), sieve_ceiling, proved)
 
@@ -402,18 +410,9 @@ def _verify_quadratic(doc: dict, proved: _Proved) -> list[str]:
         proved.append(None)
         return [str(exc)]
     proved.append((_quadratic_stage(m), label))
-    if m.value != doc.get("m", m.value):
-        return [f"stage field {m.value} disagrees with top-level m={doc['m']}"]
-    if [(s["index"], s["cumulative_field"]) for s in doc["stages"]] != [(1, [_factored_to_doc(m)])]:
-        return ["the stages are not the one field Q(sqrt(m))"]
     if problems := prescription_problems(m, spec):
         return problems
-    # Every other field is derived from params and m; the flag lists keep
-    # the stored-flag check above.
-    derived = quadratic_doc(spec, m)
-    derived["certificates"] = doc["certificates"]
-    derived["stages"][0]["certified_inequalities"] = doc["stages"][0]["certified_inequalities"]
-    if json.dumps(doc, sort_keys=True) != json.dumps(derived, sort_keys=True):
+    if _mismatches(quadratic_doc(spec, m), doc):  # every other field is derived from params and m
         return ["the document is not what construct-quadratic emits for these params and m"]
     return []
 

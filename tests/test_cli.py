@@ -455,7 +455,7 @@ class TestPipelines:
         assert code == 3 and out == ""
         diag = json.loads(err.strip().splitlines()[-1])
         assert diag["error"]["kind"] == "verification"
-        assert "recomputed block sum" in diag["error"]["message"]
+        assert "block sum does not match the recomputation" in diag["error"]["message"]
 
     def test_adjoin_i_bound_proves_each_generator_once(
         self, capsys, tmp_path, monkeypatch, thm12_two_stage

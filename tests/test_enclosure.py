@@ -73,9 +73,29 @@ def sampled_primes(np_log_differs):
     return sorted(sample)
 
 
+# Per numpy dispatch target of float64 log, how many primes below 10^7 its
+# np.log rounds apart from math.log, and the first of them (numpy 2.4.6).
+# X86_V4 is the AVX512 path; the others were measured with
+# NPY_DISABLE_CPU_FEATURES set to "X86_V4" and to "X86_V4 X86_V3".
+NP_LOG_DIFFERS = {"X86_V4": (44, 285_343), "X86_V3": (0, None), "baseline(X86_V2)": (0, None)}
+
+
+def np_log_target():
+    """The target numpy dispatches float64 log to on this CPU, or "unknown"
+    for a numpy (before 2.0) that does not say."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_targets_info__
+    except ImportError:
+        return "unknown"
+    return __cpu_targets_info__["log"]["dd"]["current"]
+
+
 class TestLogErrorBound:
     def test_np_log_and_math_log_disagree_where_recorded(self, np_log_differs):
-        assert len(np_log_differs) == 44 and np_log_differs[0] == 285_343
+        target = np_log_target()
+        if target not in NP_LOG_DIFFERS:
+            pytest.skip(f"no count recorded for numpy's {target} float64 log")
+        assert (len(np_log_differs), next(iter(np_log_differs), None)) == NP_LOG_DIFFERS[target]
 
     def test_np_log_is_within_one_ulp(self, sampled_primes):
         logs = np.log(np.array(sampled_primes, dtype=np.float64)).tolist()

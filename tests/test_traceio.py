@@ -337,9 +337,7 @@ class TestVerification:
         stored = broken["stages"][1]["block_sum"]
         broken["stages"][1]["block_sum"] = stored + 1e-12
         issues = verify_trace_doc(broken)
-        assert issues == [
-            f"stage 2: recomputed block sum {stored} != stored {stored + 1e-12}"
-        ]
+        assert issues == ["stage 2: block sum does not match the recomputation"]
 
     def test_kahan_era_block_sum_still_verifies(self, extensible_thm12_doc):
         stage = extensible_thm12_doc["stages"][1]
@@ -393,7 +391,7 @@ class TestVerification:
         broken = copy.deepcopy(prop71_doc)
         broken["stages"][1]["widmer"]["log_quantity"] = 0.001
         issues = verify_trace_doc(broken)
-        assert any("quantity" in msg for msg in issues)
+        assert issues == ["stage 2: widmer does not match the recomputation"]
 
     def test_tampered_prescription_detected(self, quad_doc):
         broken = copy.deepcopy(quad_doc)
@@ -414,10 +412,10 @@ class TestVerification:
         for cumulative in ([], [{"value": 7, "factors": [[7, 1]]}]):
             broken = copy.deepcopy(quad_doc)
             broken["stages"][0]["cumulative_field"] = cumulative
-            assert verify_trace_doc(broken) == ["the stages are not the one field Q(sqrt(m))"]
+            assert verify_trace_doc(broken) == [NOT_EMITTED]
         broken = copy.deepcopy(quad_doc)
         broken["stages"].append(copy.deepcopy(broken["stages"][0]))
-        assert verify_trace_doc(broken) == ["the stages are not the one field Q(sqrt(m))"]
+        assert verify_trace_doc(broken) == [NOT_EMITTED]
 
     @pytest.mark.parametrize("path,value", [
         (("stages", 0, "n"), 1),
@@ -613,23 +611,51 @@ class TestTowerRules:
         assert verify_trace_doc(broken)
         assert _cli_exit_code(broken, tmp_path, "verify") == 3
 
-    def test_stage_identity_checked(self, thm12_one_stage_doc, prop71_doc, quad_doc):
-        edits = [
-            (quad_doc, lambda d: d["stages"][0].update(index=2),
-             "the stages are not the one field Q(sqrt(m))"),
-            (thm12_one_stage_doc, lambda d: d["stages"][0].update(index=7),
-             "stage 1: index 7 is not the stage's position"),
-            (prop71_doc, lambda d: d["stages"][1]["widmer"].update(stage=99),
-             "stage 2: discriminant-norm record names stage 99"),
-            (thm12_one_stage_doc, lambda d: d["stages"][0].update(
-                widmer={"stage": 1, "norm_base": 5, "norm_exponent": 1,
-                        "log_quantity": math.log(5) / 4.0}),
-             "stage 1: a divergence stage carries a discriminant-norm record"),
+    def test_stage_identity_checked(self, thm12_one_stage_doc, prop71_doc, quad_doc, tmp_path):
+        # One edit per derived stage key, and two to the envelope: each is
+        # one issue naming the key that differs from the derived document.
+        widmer = {"stage": 1, "norm_base": 5, "norm_exponent": 1,
+                  "log_quantity": math.log(5) / 4.0}
+        both = [
+            ("index", lambda s: s.update(index=7)),
+            ("block primes", lambda s: s["block_primes"].pop(0)),
+            ("block sum", lambda s: s.update(block_sum=s["block_sum"] + 1e-12)),
+            ("cumulative field", lambda s: s["cumulative_field"].append(
+                {"value": 7, "factors": [[7, 1]]})),
         ]
-        for doc, edit, issue in edits:
+        only = {
+            "thm12-tower": [("widmer", lambda s: s.update(widmer=widmer))],
+            "prop71-tower": [
+                ("widmer", lambda s: s["widmer"].update(stage=99)),
+                ("widmer", lambda s: s["widmer"].update(norm_base=s["widmer"]["norm_base"] + 4)),
+                ("widmer", lambda s: s["widmer"].update(norm_exponent=1)),
+                ("widmer", lambda s: s["widmer"].update(log_quantity=0.001)),
+                ("widmer", lambda s: s.update(widmer=None)),
+            ],
+        }
+        cases = [(quad_doc, lambda d: d["stages"][0].update(index=2), NOT_EMITTED)]
+        for doc in (thm12_one_stage_doc, prop71_doc):
+            k = len(doc["stages"])
+            cases += [(doc, lambda d, edit=edit, k=k: edit(d["stages"][k - 1]),
+                       f"stage {k}: {key} does not match the recomputation")
+                      for key, edit in both + only[doc["construction"]]]
+            cases += [(doc, lambda d: d["params"].update(note="hand-edited"),
+                       "trace: params does not match the recomputation"),
+                      (doc, lambda d: d.update(note="hand-edited"),
+                       "trace: note does not match the recomputation")]
+        for doc, edit, issue in cases:
             broken = copy.deepcopy(doc)
             edit(broken)
             assert verify_trace_doc(broken) == [issue]
+            assert _cli_exit_code(broken, tmp_path, "verify") == 3
+        # earlier versions wrote no widmer key into divergence stages
+        old = copy.deepcopy(thm12_one_stage_doc)
+        del old["stages"][0]["widmer"]
+        assert verify_trace_doc(old) == []
+        # a Widmer log quantity within 1e-12 of the derived one matches it
+        near = copy.deepcopy(prop71_doc)
+        near["stages"][1]["widmer"]["log_quantity"] *= 1 + 1e-13
+        assert verify_trace_doc(near) == []
 
     @pytest.mark.parametrize("aux", [[6], [-5], [], [5, 5], [2], [0], [9]])
     def test_auxiliary_primes_must_be_one_odd_prime(self, thm12_one_stage_doc, aux):
@@ -640,27 +666,33 @@ class TestTowerRules:
             f"stage 1: auxiliary primes {aux} are not one odd prime"
         ]
 
-    def test_cumulative_field_factors_checked(self, thm12_one_stage_doc, prop71_doc, quad_doc):
-        for doc, issue in [
-            (thm12_one_stage_doc, "stage 1: cumulative field does not match the recomputation"),
-            (prop71_doc, "stage 1: cumulative field does not match the recomputation"),
-            (quad_doc, "the stages are not the one field Q(sqrt(m))"),
+    def test_cumulative_field_factors_checked(self, thm12_one_stage_doc, prop71_doc, quad_doc,
+                                              tmp_path):
+        for doc, k, issue in [
+            (thm12_one_stage_doc, 1, "stage 1: cumulative field does not match the recomputation"),
+            (prop71_doc, 1, "stage 1: cumulative field does not match the recomputation"),
+            (prop71_doc, 2, "stage 2: cumulative field does not match the recomputation"),
+            (quad_doc, 1, NOT_EMITTED),
         ]:
             for factors in ([[4, 1], [9, 0]], [], [[7, 1]]):
                 broken = copy.deepcopy(doc)
-                broken["stages"][0]["cumulative_field"][0]["factors"] = factors
+                broken["stages"][k - 1]["cumulative_field"][0]["factors"] = factors
                 assert verify_trace_doc(broken) == [issue]
+            assert _cli_exit_code(broken, tmp_path, "verify") == 3
 
     def test_recomputed_block_sums_equal_scalar_terms(self, thm12_two_stage):
         # The verifier sums on the scan kernel; series_term is the scalar
-        # reference.  A stored sum of 0 makes the verifier print its own.
+        # reference.  trace_from_doc returns the verifier's sums, and a stored
+        # sum of 0 is refused.
         for trace in (thm12_two_stage, build_split_prime_tower(2)):
             doc, fields = trace_to_doc(trace), trace.stage_fields()
+            derived = trace_from_doc(doc).stages
             for stage in trace.stages:
                 want = math.fsum(series_term(fields[stage.index - 1], p)
                                  for p in stage.block_primes)
+                assert derived[stage.index - 1].block_sum == want
                 broken = copy.deepcopy(doc)
                 broken["stages"][stage.index - 1]["block_sum"] = 0.0
                 assert verify_trace_doc(broken) == [
-                    f"stage {stage.index}: recomputed block sum {want} != stored 0.0"
+                    f"stage {stage.index}: block sum does not match the recomputation"
                 ]

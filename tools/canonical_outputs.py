@@ -9,7 +9,9 @@ command: the argv, the exit code, and the sha256 of its stdout (of its --out
 file when it has one) followed by its stderr, where a failing command's
 diagnosis goes.  Run it on two checkouts and compare the manifests; equal
 manifests mean byte-identical outputs.  SPLITLAB_* environment variables are
-cleared, so each command runs on its defaults.
+cleared, so each command runs on its defaults.  tests/canonical_outputs.txt
+holds the manifest of this checkout, and tests/test_canonical_outputs.py
+checks it line by line.
 """
 
 from __future__ import annotations
