@@ -40,6 +40,11 @@ COMMANDS = [
       for r in ("0.5", "1.0", "1.3", "1.7", "2.0", "3.0", "50")),
     ["sfrak-sum", f"--basis={_BASIS}", "--prime-ceiling", "10000000"],
     ["density-check", f"--basis={_BASIS}", "--prime-ceiling", "10000000", "--per-decade", "4"],
+    # builds that stop on a budget: exit 2, the diagnosis on stderr
+    ["thm12-tower", "--stages", "3", "--sum-target", "0.5"],
+    ["prop71-tower", "--stages", "3"],
+    ["thm12-tower", "--stages", "1", "--budget-ap", "1"],
+    ["prop71-tower", "--stages", "2", "--budget-ap", "1"],
 ]
 
 
