@@ -6,17 +6,19 @@ splitting series grows without bound while adjoining i caps it), the
 split-prime tower (every stage's prime splits everything below it, with
 discriminant-norm growth certificates), and reciprocity companion searches.
 
-Each tower has one stage rule, a function listing every way a stage breaks
-it.  The builders raise VerificationError on any problem it finds, as on a
-quadratic field that misses its prescription, and traceio's verifier reports
-the same texts as issues.
+Each tower has one recipe, TOWERS[construction]: its block rule, its
+prescription, its generator search and its stage rule, a function listing
+every way a stage breaks the tower apart from its prescription.  The one
+builder loop, _build_tower, and traceio's verifier both follow it.  The
+builders raise VerificationError on any problem the rule or the prescription
+finds, and the verifier reports the same texts as issues.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -213,12 +215,6 @@ class WidmerTerm:
             return None
 
 
-def widmer_term(stage: int, p: int) -> WidmerTerm:
-    """The discriminant-norm record of a split-prime stage whose generator is the prime p."""
-    return WidmerTerm(stage=stage, norm_base=p, norm_exponent=1 << (stage - 1),
-                      log_quantity=math.log(p) / 4.0)
-
-
 @dataclass(frozen=True)
 class StageRecord:
     index: int
@@ -261,8 +257,10 @@ class ConstructionTrace:
 
 
 def valid_sum_target(sum_target: float) -> bool:
-    """The towers' block sum target rule: finite and positive."""
-    return math.isfinite(sum_target) and sum_target > 0
+    """The towers' block sum target rule: a finite and positive int or float,
+    not a bool."""
+    return (isinstance(sum_target, (int, float)) and type(sum_target) is not bool
+            and math.isfinite(sum_target) and sum_target > 0)
 
 
 # The budgets a tower's params record, each a positive integer.
@@ -325,16 +323,62 @@ DIVERGENCE_BLOCK = BlockShape(after=0, residue_filter=(3, 4), past_last=1)  # [n
 SPLIT_PRIME_BLOCK = BlockShape(after=1, residue_filter=None, past_last=0)  # (n_{i-1}, n_i]
 
 
-def divergence_prescription(n: int, *, sieve_ceiling: int) -> tuple[list[int], list[int]]:
-    """(split, inert): the odd primes up to n that a divergence stage with
-    threshold n splits (p = 3 mod 4) and keeps inert (p = 1 mod 4)."""
-    primes = list(iter_primes(3, n, ceiling=sieve_ceiling))
-    return [p for p in primes if p % 4 == 3], [p for p in primes if p % 4 == 1]
+@dataclass(frozen=True)
+class TowerRecipe:
+    """What a stage of one tower is, for its builder and for the verifier: its
+    block rule; prescription(n, sieve_ceiling), the splitting a stage with
+    threshold n prescribes (None for none), whose primes and 2 are the factor
+    base of the generator's proof; the builder's generator search, which
+    calls the prescription itself, after its modulus estimate and the
+    divergence tower's auxiliary prime, as building it checks every prime,
+    and returns (generator, auxiliary primes, the prescription left to
+    check, None where it has checked it); its stage rule; and whether its
+    records carry the discriminant-norm record."""
+
+    shape: BlockShape
+    prescription: Callable[[int, int], Optional[SplittingSpec]]
+    search: Callable[..., tuple[SquarefreeInt, tuple[int, ...], Optional[SplittingSpec]]]
+    rule: Callable[[MultiquadField, StageRecord, int], list[str]]
+    widmer: bool
+
+    def record(self, k: int, n: int, aux: Sequence[int], added: SquarefreeInt,
+               previous: MultiquadField, block: Sequence[int], block_sum: float) -> StageRecord:
+        """Stage k's record: Q(sqrt(added)) joined to `previous`.  With widmer,
+        a generator p >= 2 gives the norm p ** 2^(k-1) and log(p)/4."""
+        p = added.value
+        widmer = (WidmerTerm(stage=k, norm_base=p, norm_exponent=1 << (k - 1),
+                             log_quantity=math.log(p) / 4.0) if self.widmer and p >= 2 else None)
+        return StageRecord(index=k, n=n, auxiliary_primes=tuple(aux), field_added=added,
+                           cumulative_field=previous.adjoin(added), block_primes=tuple(block),
+                           block_sum=block_sum, widmer=widmer)
+
+    def problems(self, previous: MultiquadField, record: StageRecord, p_prev: int,
+                 spec: Optional[SplittingSpec]) -> list[str]:
+        """The stage rule's problems, then the prescription's."""
+        found = self.rule(previous, record, p_prev)
+        return found + ([] if spec is None else prescription_problems(record.field_added, spec))
 
 
-def split_prime_spec(small: list[int]) -> SplittingSpec:
-    """A split-prime stage's prescription: every prime in `small` splits, 2 included."""
-    return SplittingSpec(split=frozenset(small) - {2}, two_behavior=TWO_SPLIT)
+def _build_tower(construction: str, num_stages: int, sum_target: float, *, stage_cap: int,
+                 **budgets: int) -> ConstructionTrace:
+    """The one builder loop: each stage's block, generator and record as the
+    recipe TOWERS[construction] says; a stage with any problem raises
+    VerificationError."""
+    recipe = TOWERS[construction]
+    params = _tower_params(num_stages, sum_target, stage_cap=stage_cap, **budgets)
+    previous, n_prev, p_prev = MultiquadField.rationals(), 1, 0
+    stages: list[StageRecord] = []
+    for k in range(1, num_stages + 1):
+        block, block_sum, n, _ = recipe.shape.block(
+            previous, n_prev, sum_target, sieve_ceiling=budgets["sieve_ceiling"], stage=k)
+        added, aux, spec = recipe.search(previous, n, p_prev, recipe.prescription, stage=k,
+                                         **budgets)
+        record = recipe.record(k, n, aux, added, previous, block, block_sum)
+        if problems := recipe.problems(previous, record, p_prev, spec):
+            raise VerificationError(f"stage {k}: " + "; ".join(problems))
+        stages.append(record)
+        previous, n_prev, p_prev = record.cumulative_field, n, added.value
+    return ConstructionTrace(construction, params, tuple(stages))
 
 
 def _smallest_split_aux_prime(
@@ -356,11 +400,13 @@ def _smallest_split_aux_prime(
 
 
 def divergence_stage_problems(
-    previous: MultiquadField, added: SquarefreeInt, aux: Sequence[int]
+    previous: MultiquadField, record: StageRecord, p_prev: int
 ) -> list[str]:
-    """Every way a divergence stage adding Q(sqrt(added)) to `previous` breaks
-    the tower's rule, one message each; its prescription is checked apart.
-    The rule takes exactly one auxiliary prime, an odd one."""
+    """Every way a divergence stage, whose record adds Q(sqrt(field_added))
+    to `previous`, breaks the tower's rule, one message each; its
+    prescription is checked apart, and p_prev plays no part.  The rule takes
+    exactly one auxiliary prime, an odd one."""
+    added, aux = record.field_added, record.auxiliary_primes
     problems = []
     if len(aux) != 1 or aux[0] == 2 or not is_prime(aux[0]):
         problems.append(f"auxiliary primes {list(aux)} are not one odd prime")
@@ -372,9 +418,50 @@ def divergence_stage_problems(
             problems.append(f"auxiliary prime {q} is not inert above")
         if not totally_split(previous, q):
             problems.append(f"auxiliary prime {q} does not split below")
-    if not is_totally_real(previous.adjoin(added)):
+    if not is_totally_real(record.cumulative_field):
         problems.append("compositum is not totally real")
     return problems
+
+
+def _divergence_stage_spec(n: int, sieve_ceiling: int) -> Optional[SplittingSpec]:
+    """A divergence stage's prescription: each odd prime up to n splits if it
+    is 3 mod 4 and stays inert if it is 1 mod 4; None when n < 3."""
+    primes = list(iter_primes(3, n, ceiling=sieve_ceiling))
+    return SplittingSpec(split=[p for p in primes if p % 4 == 3],
+                         inert=[p for p in primes if p % 4 == 1]) if primes else None
+
+
+def _divergence_generator(
+    previous: MultiquadField, n: int, p_prev: int,
+    prescription: Callable[[int, int], SplittingSpec], *, stage: int, ap_budget: int,
+    sieve_ceiling: int, modulus_bit_budget: int,
+) -> tuple[SquarefreeInt, tuple[int, ...], None]:
+    """The smallest certifiable m for a divergence stage: its prescription,
+    plus the smallest q = 1 (mod 4) totally split in `previous` kept inert
+    (the linear-disjointness witness and the stage's auxiliary prime).
+    construct_prescribed_quadratic checks m against all of it, so no
+    prescription is left to check."""
+    aux = _smallest_split_aux_prime(previous, sieve_ceiling=sieve_ceiling)
+    # slack for the auxiliary prime and a mod-8 factor
+    bits = 3.0 + math.fsum(map(math.log2, iter_primes(3, n, ceiling=sieve_ceiling)))
+    if bits > modulus_bit_budget:
+        raise ResourceBudgetError(
+            f"stage {stage}: prescribing every prime below n={n} needs a CRT "
+            f"modulus of about {int(bits)} bits, over the budget of "
+            f"{modulus_bit_budget}"
+        )
+    spec = prescription(n, sieve_ceiling)
+    with_aux = replace(spec, inert=spec.inert | {aux})
+    try:
+        m = construct_prescribed_quadratic(
+            with_aux, ap_budget=ap_budget, modulus_bit_budget=modulus_bit_budget
+        )
+    except ResourceBudgetError as exc:
+        raise ResourceBudgetError(
+            f"stage {stage} (n={n}, {len(with_aux.split) + len(with_aux.inert)} prescribed "
+            f"primes): {exc}"
+        ) from exc
+    return m, (aux,), None
 
 
 def build_divergence_tower(
@@ -398,54 +485,9 @@ def build_divergence_tower(
     contributing primes), so the prescription modulus explodes quickly; the
     modulus bit budget turns that into a clean resource error.
     """
-    params = _tower_params(
-        num_stages, sum_target_per_block, stage_cap=stage_cap, ap_budget=ap_budget,
-        sieve_ceiling=sieve_ceiling, modulus_bit_budget=modulus_bit_budget,
-    )
-
-    current = MultiquadField.rationals()
-    n_prev = 1
-    stages: list[StageRecord] = []
-    for k in range(1, num_stages + 1):
-        block, block_sum, n_k, _ = DIVERGENCE_BLOCK.block(
-            current, n_prev, sum_target_per_block, sieve_ceiling=sieve_ceiling, stage=k)
-        aux = _smallest_split_aux_prime(current, sieve_ceiling=sieve_ceiling)
-        split, inert = divergence_prescription(n_k, sieve_ceiling=sieve_ceiling)
-        # slack for the auxiliary prime and a mod-8 factor
-        bits = 3.0 + math.fsum(map(math.log2, split + inert))
-        if bits > modulus_bit_budget:
-            raise ResourceBudgetError(
-                f"stage {k}: prescribing every prime below n={n_k} needs a CRT "
-                f"modulus of about {int(bits)} bits, over the budget of "
-                f"{modulus_bit_budget}"
-            )
-        spec = SplittingSpec(split=split, inert=inert + [aux], signature=SIGNATURE_REAL)
-        try:
-            m_new = construct_prescribed_quadratic(
-                spec, ap_budget=ap_budget, modulus_bit_budget=modulus_bit_budget
-            )
-        except ResourceBudgetError as exc:
-            raise ResourceBudgetError(
-                f"stage {k} (n={n_k}, {len(spec.split) + len(spec.inert)} prescribed "
-                f"primes): {exc}"
-            ) from exc
-        problems = divergence_stage_problems(current, m_new, [aux])
-        if problems:
-            raise VerificationError(f"stage {k}: " + "; ".join(problems))
-        grown = current.adjoin(m_new)
-        stages.append(
-            StageRecord(
-                index=k,
-                n=n_k,
-                auxiliary_primes=(aux,),
-                field_added=m_new,
-                cumulative_field=grown,
-                block_primes=tuple(block),
-                block_sum=block_sum,
-            )
-        )
-        current, n_prev = grown, n_k
-    return ConstructionTrace(THM12_TOWER, params, tuple(stages))
+    return _build_tower(THM12_TOWER, num_stages, sum_target_per_block, stage_cap=stage_cap,
+                        ap_budget=ap_budget, sieve_ceiling=sieve_ceiling,
+                        modulus_bit_budget=modulus_bit_budget)
 
 
 def certify_adjoin_i_convergence(
@@ -490,19 +532,49 @@ def certify_adjoin_i_convergence(
 # ---------------------------------------------------------------------------
 
 
-def split_prime_stage_problems(added: SquarefreeInt, n: int, p_prev: int) -> list[str]:
-    """Every way a split-prime stage with generator `added`, threshold n and
-    previous stage prime p_prev breaks the tower's rule, one message each;
-    its prescription is checked apart."""
+def split_prime_stage_problems(
+    previous: MultiquadField, record: StageRecord, p_prev: int
+) -> list[str]:
+    """Every way a split-prime stage, with the generator and threshold n its
+    record holds and previous stage prime p_prev, breaks the tower's rule,
+    one message each; its prescription is checked apart, and `previous`
+    plays no part."""
+    added = record.field_added
     p = added.value
     problems = []
     if p < 2 or added.atoms != {p}:
         problems.append(f"field_added {p} is not one positive prime")
     if p % 4 != 1:
         problems.append(f"prime {p} is not 1 mod 4")
-    if p <= max(n, p_prev):
+    if p <= max(record.n, p_prev):
         problems.append("prime does not exceed max(n, previous prime)")
     return problems
+
+
+def _split_prime_stage_spec(n: int, sieve_ceiling: int) -> SplittingSpec:
+    """A split-prime stage's prescription: every prime up to n splits, 2 included."""
+    small = frozenset(iter_primes(2, n, ceiling=sieve_ceiling))
+    return SplittingSpec(split=small - {2}, two_behavior=TWO_SPLIT)
+
+
+def _split_prime_generator(
+    previous: MultiquadField, n: int, p_prev: int,
+    prescription: Callable[[int, int], SplittingSpec], *, stage: int, ap_budget: int,
+    sieve_ceiling: int, modulus_bit_budget: int,
+) -> tuple[SquarefreeInt, tuple[int, ...], SplittingSpec]:
+    """Q(sqrt(p)) for the smallest prime p > max(n, p_prev) that is 1 mod 4
+    times the primes up to n; `previous` plays no part."""
+    bits = 2.0 + math.fsum(map(math.log2, iter_primes(2, n, ceiling=sieve_ceiling)))
+    if bits > modulus_bit_budget:
+        raise ResourceBudgetError(
+            f"stage {stage}: progression modulus 4*({n} primorial) needs "
+            f"about {int(bits)} bits, over the budget of {modulus_bit_budget}"
+        )
+    spec = prescription(n, sieve_ceiling)
+    small = proof_factor_base(spec)  # the primes up to n, 2 included
+    p = find_prime_in_ap(1, 4 * math.prod(small), max(n, p_prev), budget=ap_budget,
+                         factor_base=small)
+    return SquarefreeInt.from_prime_factors(1, [p]), (), spec
 
 
 def build_split_prime_tower(
@@ -526,47 +598,17 @@ def build_split_prime_tower(
     The progression modulus is the primorial of n_i: it exceeds any fixed
     bit budget within a few stages, which surfaces as a resource error.
     """
-    params = _tower_params(
-        num_stages, sum_target_per_block, stage_cap=stage_cap, ap_budget=ap_budget,
-        sieve_ceiling=sieve_ceiling, modulus_bit_budget=modulus_bit_budget,
-    )
+    return _build_tower(PROP71_TOWER, num_stages, sum_target_per_block, stage_cap=stage_cap,
+                        ap_budget=ap_budget, sieve_ceiling=sieve_ceiling,
+                        modulus_bit_budget=modulus_bit_budget)
 
-    current = MultiquadField.rationals()
-    n_prev = 1
-    p_prev = 0
-    stages: list[StageRecord] = []
-    for i in range(1, num_stages + 1):
-        block, block_sum, n_i, _ = SPLIT_PRIME_BLOCK.block(
-            current, n_prev, sum_target_per_block, sieve_ceiling=sieve_ceiling, stage=i)
-        small = list(iter_primes(2, n_i, ceiling=sieve_ceiling))
-        bits = 2.0 + math.fsum(map(math.log2, small))
-        if bits > modulus_bit_budget:
-            raise ResourceBudgetError(
-                f"stage {i}: progression modulus 4*({n_i} primorial) needs "
-                f"about {int(bits)} bits, over the budget of {modulus_bit_budget}"
-            )
-        modulus = 4 * math.prod(small)
-        p_i = find_prime_in_ap(1, modulus, max(n_i, p_prev), budget=ap_budget, factor_base=small)
-        added = SquarefreeInt.from_prime_factors(1, [p_i])
-        problems = (split_prime_stage_problems(added, n_i, p_prev)
-                    + prescription_problems(added, split_prime_spec(small)))
-        if problems:
-            raise VerificationError(f"stage {i}: " + "; ".join(problems))
-        grown = current.adjoin(added)
-        stages.append(
-            StageRecord(
-                index=i,
-                n=n_i,
-                auxiliary_primes=(),
-                field_added=added,
-                cumulative_field=grown,
-                block_primes=tuple(block),
-                block_sum=block_sum,
-                widmer=widmer_term(i, p_i),
-            )
-        )
-        current, n_prev, p_prev = grown, n_i, p_i
-    return ConstructionTrace(PROP71_TOWER, params, tuple(stages))
+
+TOWERS = {
+    THM12_TOWER: TowerRecipe(DIVERGENCE_BLOCK, _divergence_stage_spec, _divergence_generator,
+                             divergence_stage_problems, widmer=False),
+    PROP71_TOWER: TowerRecipe(SPLIT_PRIME_BLOCK, _split_prime_stage_spec, _split_prime_generator,
+                              split_prime_stage_problems, widmer=True),
+}
 
 
 # ---------------------------------------------------------------------------

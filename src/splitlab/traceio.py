@@ -5,10 +5,11 @@ canonical (sorted keys, two-space indent, trailing newline) so identical runs
 are byte-identical.  validate_schema() walks a document against the schema
 once: it raises at the first shape error, else returns the integer places
 that hold a float such as 32.0, which the verifier reports as its only
-issues.  verify_trace_doc() re-derives every stage check from scratch with
-the builders' own stage rules, then compares the document whole with the one
-its derived records give, and trace_from_doc() returns those records, only
-for a document it accepts; trace_to_doc() alone gives a document its shape.
+issues.  verify_trace_doc() re-derives every stage from scratch by the
+builders' own tower recipe, constructions.TOWERS, then compares the
+document whole with the one its derived records give, and trace_from_doc()
+returns those records, only for a document it accepts; trace_to_doc() alone
+gives a document its shape.
 Documents store no verdicts: the flag lists stay empty, and a false flag in
 an older document is still reported.  Each generator's primes are proved
 over a factor base the verifier derives from the prescription, never from
@@ -23,32 +24,25 @@ import math
 from dataclasses import asdict
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .constructions import (
     CONSTRUCT_QUADRATIC,
-    DIVERGENCE_BLOCK,
-    PROP71_TOWER,
-    SPLIT_PRIME_BLOCK,
     THM12_TOWER,
     TOWER_BUDGETS,
-    BlockShape,
+    TOWERS,
     ConstructionTrace,
     SplittingSpec,
     StageRecord,
+    TowerRecipe,
     _tower_params,
-    divergence_prescription,
-    divergence_stage_problems,
     prescription_problems,
     proof_factor_base,
-    split_prime_spec,
-    split_prime_stage_problems,
     valid_sum_target,
-    widmer_term,
 )
 from .errors import VerificationError
 from .multiquadratic import MultiquadField
-from .primes import DEFAULT_SIEVE_CEILING, PROBABLE, PROVED, iter_primes, primality
+from .primes import DEFAULT_SIEVE_CEILING, PROBABLE, PROVED, primality
 from .quadratic import SquarefreeInt
 from .series import enclosure
 
@@ -287,28 +281,24 @@ def _same(key: str, want: Any, got: Any) -> bool:
     return json.dumps(want, sort_keys=True) == json.dumps(got, sort_keys=True)
 
 
-def _tower_stages(
-    doc: dict, issues: list[str], proved: _Proved, shape: BlockShape, target: float,
-    sieve_ceiling: int, prescription: Callable[[int], Optional[SplittingSpec]],
-) -> Iterator[tuple[MultiquadField, StageRecord, Optional[SplittingSpec]]]:
-    """(previous field, derived record, prescription) per stage, for the
-    stage rule.  The builders' block rule runs first, up to the stored
-    threshold, and derives n; prescription(n) is the stage's prescription,
-    its primes and 2 the factor base of the generator's proof.  A stage whose
-    field_added fails its factorization is skipped, and the stages after it
-    keep their stored n, block and block sum.  The record keeps the stored
-    auxiliary primes; a split-prime generator p >= 2 gives its
-    discriminant-norm record.  A stage with no other issue must be the one
+def _tower_stages(doc: dict, tower: TowerRecipe, target: float, sieve_ceiling: int,
+                  proved: _Proved) -> list[str]:
+    """Every stage's issues, each stage derived by the tower's recipe as the
+    builder derives it.  The block rule runs up to the stored threshold and
+    derives n, and the prescription for n gives the proof's factor base.  A
+    stage whose field_added fails its factorization is skipped, and later
+    stages keep their stored n, block and block sum.  The record keeps the
+    stored auxiliary primes; a stage with no other issue must be the one
     its record gives."""
-    split_prime = doc["construction"] == PROP71_TOWER
-    previous, n_prev = MultiquadField.rationals(), 1
+    issues: list[str] = []
+    previous, n_prev, p_prev = MultiquadField.rationals(), 1, 0
     for k, stage in enumerate(doc["stages"], 1):
         before = len(issues)
         block, total, n = stage["block_primes"], stage["block_sum"], stage["n"]
         if all(proved):  # else the stage's base field is unknown, and it keeps the stored values
-            block, total, n, reached = shape.block(previous, n_prev, target,
-                                                   sieve_ceiling=sieve_ceiling, stage=k, n=n)
-            last = stage["n"] - shape.past_last
+            block, total, n, reached = tower.shape.block(previous, n_prev, target,
+                                                         sieve_ceiling=sieve_ceiling, stage=k, n=n)
+            last = stage["n"] - tower.shape.past_last
             if not reached:  # the first of these that holds is the stage's one block issue
                 issues.append(f"stage {k}: block sum {total} below target {target}")
             elif n != stage["n"] and stage["block_primes"][-1:] == [last]:
@@ -316,72 +306,32 @@ def _tower_stages(
                               f"reaches target {target}")
             elif n != stage["n"]:
                 issues.append(f"stage {k}: the last block prime is not {last}")
-        n_prev, spec = n, prescription(n)
+        n_prev, spec = n, tower.prescription(n, sieve_ceiling)
         try:
             added, label = _factored_from_doc(stage["field_added"], proof_factor_base(spec))
         except VerificationError as exc:
             issues.append(f"stage {k}: {exc}")
             proved.append(None)
             continue
-        record = StageRecord(
-            index=k, n=n, auxiliary_primes=tuple(stage["auxiliary_primes"]), field_added=added,
-            cumulative_field=previous.adjoin(added), block_primes=tuple(block), block_sum=total,
-            widmer=widmer_term(k, added.value) if split_prime and added.value >= 2 else None,
-        )
+        record = tower.record(k, n, stage["auxiliary_primes"], added, previous, block, total)
         proved.append((record, label))
-        yield previous, record, spec
-        previous = record.cumulative_field
+        issues += [f"stage {k}: {msg}" for msg in tower.problems(previous, record, p_prev, spec)]
+        previous, p_prev = record.cumulative_field, added.value
         if len(issues) == before and (keys := _mismatches(_stage_to_doc(record), stage)):
             issues.append(f"stage {k}: {', '.join(keys)} does not match the recomputation")
-
-
-def _verify_thm12(doc: dict, target: float, sieve_ceiling: int, proved: _Proved) -> list[str]:
-    def prescription(n: int) -> Optional[SplittingSpec]:
-        split, inert = divergence_prescription(n, sieve_ceiling=sieve_ceiling)
-        return SplittingSpec(split=split, inert=inert) if split or inert else None
-
-    issues: list[str] = []
-    sums: list[float] = []
-    for previous, record, spec in _tower_stages(
-            doc, issues, proved, DIVERGENCE_BLOCK, target, sieve_ceiling, prescription):
-        sums.append(record.block_sum)
-        added = record.field_added
-        problems = divergence_stage_problems(previous, added, record.auxiliary_primes)
-        if spec is not None:
-            problems += prescription_problems(added, spec)
-        issues += [f"stage {record.index}: {msg}" for msg in problems]
-    # Each recomputed block's real sum reaches the target, so an honest
-    # document's real total reaches K·T and the top of its enclosure does too.
-    total, want_total = math.fsum(sums), target * len(doc["stages"])
-    if Fraction(enclosure(total)[1]) < len(doc["stages"]) * Fraction(target):
-        issues.append(f"total block sum {total} below {want_total}")
-    return issues
-
-
-def _verify_prop71(doc: dict, target: float, sieve_ceiling: int, proved: _Proved) -> list[str]:
-    def prescription(n: int) -> SplittingSpec:
-        return split_prime_spec(list(iter_primes(2, n, ceiling=sieve_ceiling)))
-
-    issues: list[str] = []
-    p_prev = 0
-    for _, record, spec in _tower_stages(
-            doc, issues, proved, SPLIT_PRIME_BLOCK, target, sieve_ceiling, prescription):
-        i, added = record.index, record.field_added
-        problems = split_prime_stage_problems(added, record.n, p_prev)
-        issues += [f"stage {i}: {msg}" for msg in problems + prescription_problems(added, spec)]
-        p_prev = added.value
     return issues
 
 
 def _verify_tower(doc: dict, sieve_ceiling: int, proved: _Proved) -> list[str]:
     """A tower's params must be ones its builder accepts, its params and
-    top-level keys what the builder writes for them; then its stages verify."""
+    top-level keys what the builder writes for them; then its stages verify,
+    and a divergence tower's block sums reach K times the target."""
     issues: list[str] = []
     params, count = doc["params"], len(doc["stages"])
     if params.get("stages") != count or type(params.get("stages")) is not int:
         issues.append(f"params: stages is {params.get('stages')!r}, the trace has {count}")
     target = params.get("sum_target")
-    if not (isinstance(target, (int, float)) and valid_sum_target(target)):
+    if not valid_sum_target(target):
         return issues + [f"params: sum target {target!r} is not finite and positive"]
     try:
         derived = _tower_params(count, target, stage_cap=count,
@@ -392,8 +342,15 @@ def _verify_tower(doc: dict, sieve_ceiling: int, proved: _Proved) -> list[str]:
         envelope = trace_to_doc(ConstructionTrace(doc["construction"], derived, ()))
         if not issues and (keys := _mismatches(envelope, {**doc, "stages": []})):
             issues.append(f"trace: {', '.join(keys)} does not match the recomputation")
-    walk = _verify_thm12 if doc["construction"] == THM12_TOWER else _verify_prop71
-    return issues + walk(doc, float(target), sieve_ceiling, proved)
+    target = float(target)
+    issues += _tower_stages(doc, TOWERS[doc["construction"]], target, sieve_ceiling, proved)
+    if doc["construction"] == THM12_TOWER:
+        # Each recomputed block's real sum reaches the target, so an honest
+        # document's real total reaches K·T and the top of its enclosure does too.
+        total = math.fsum(record.block_sum for record, _ in filter(None, proved))
+        if Fraction(enclosure(total)[1]) < count * Fraction(target):
+            issues.append(f"total block sum {total} below {target * count}")
+    return issues
 
 
 def _verify_quadratic(doc: dict, proved: _Proved) -> list[str]:
@@ -432,7 +389,7 @@ def _verify(doc: dict, sieve_ceiling: int) -> tuple[list[str], _Proved]:
                 issues.append(f"{where}: stored certificate {c['name']!r} does not hold")
     proved: _Proved = []
     kind = doc["construction"]
-    if kind in (THM12_TOWER, PROP71_TOWER):
+    if kind in TOWERS:
         issues.extend(_verify_tower(doc, sieve_ceiling, proved))
     elif kind == CONSTRUCT_QUADRATIC:
         issues.extend(_verify_quadratic(doc, proved))

@@ -411,7 +411,7 @@ class TestSplitPrimeTower:
 
 
 @pytest.mark.parametrize("builder", [build_divergence_tower, build_split_prime_tower])
-@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 0.0, True])
 def test_tower_rejects_non_finite_or_non_positive_sum_target(builder, target):
     with pytest.raises(ValueError, match="finite and positive"):
         builder(1, target)
@@ -495,3 +495,20 @@ class TestStageRules:
             "p=5: wanted split, got inert; p=7: wanted split, got ramified; "
             "p=2: wanted split, got ramified"
         )
+
+
+@pytest.mark.parametrize("construction, build", [
+    (constructions.THM12_TOWER, build_divergence_tower),
+    (constructions.PROP71_TOWER, build_split_prime_tower),
+])
+def test_builder_and_verifier_follow_one_recipe(monkeypatch, construction, build):
+    # A rule added to the tower's recipe reaches both roles: the builder
+    # raises on it, and verify reports it for the honest document.
+    doc = trace_to_doc(build(1))
+    recipe = constructions.TOWERS[construction]
+    probed = dataclasses.replace(recipe, rule=lambda *args: recipe.rule(*args) + ["probe"])
+    monkeypatch.setitem(constructions.TOWERS, construction, probed)
+    with pytest.raises(VerificationError) as excinfo:
+        build(1)
+    assert str(excinfo.value) == "stage 1: probe"
+    assert "stage 1: probe" in verify_trace_doc(doc)

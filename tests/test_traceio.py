@@ -111,8 +111,13 @@ def extensible_thm12_doc():
 
 
 @pytest.fixture(scope="module")
-def prop71_doc():
-    return trace_to_doc(build_split_prime_tower(2))
+def prop71_two_stage():
+    return build_split_prime_tower(2)
+
+
+@pytest.fixture(scope="module")
+def prop71_doc(prop71_two_stage):
+    return trace_to_doc(prop71_two_stage)
 
 
 @pytest.fixture(scope="module")
@@ -277,9 +282,14 @@ class TestRoundTrip:
             assert json.loads(text) == doc
             assert dumps_canonical(json.loads(text)) == text
 
-    def test_trace_objects_survive(self, thm12_doc):
-        rebuilt = trace_from_doc(json.loads(dumps_canonical(thm12_doc)))
-        assert dumps_canonical(trace_to_doc(rebuilt)) == dumps_canonical(thm12_doc)
+    def test_trace_objects_survive(self, thm12_two_stage, thm12_doc, prop71_two_stage,
+                                   prop71_doc):
+        # The verifier's derived records equal the builder's, cumulative
+        # fields and discriminant-norm records included.
+        for built, doc in ((thm12_two_stage, thm12_doc), (prop71_two_stage, prop71_doc)):
+            rebuilt = trace_from_doc(json.loads(dumps_canonical(doc)))
+            assert dumps_canonical(trace_to_doc(rebuilt)) == dumps_canonical(doc)
+            assert rebuilt.stages == built.stages
 
     def test_fake_factorization_caught(self, prop71_doc):
         broken = copy.deepcopy(prop71_doc)
@@ -547,7 +557,7 @@ class TestTowerRules:
         doc["params"]["sum_target"] = 0.5
         assert "stage 1: block sum" in verify_trace_doc(doc)[0]
 
-    @pytest.mark.parametrize("target", [math.inf, -math.inf, 0.0, -0.5, "1.0", None])
+    @pytest.mark.parametrize("target", [math.inf, -math.inf, 0.0, -0.5, "1.0", None, True])
     def test_sum_target_the_builders_reject(self, thm12_doc, prop71_doc, target):
         for doc in (thm12_doc, prop71_doc):
             broken = copy.deepcopy(doc)
