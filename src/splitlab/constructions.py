@@ -329,11 +329,11 @@ class TowerRecipe:
     block rule; prescription(n, sieve_ceiling), the splitting a stage with
     threshold n prescribes (None for none), whose primes and 2 are the factor
     base of the generator's proof; the builder's generator search, which
-    calls the prescription itself, after its modulus estimate and the
-    divergence tower's auxiliary prime, as building it checks every prime,
-    and returns (generator, auxiliary primes, the prescription left to
-    check, None where it has checked it); its stage rule; and whether its
-    records carry the discriminant-norm record."""
+    returns (generator, auxiliary primes, the prescription left to check,
+    None where it has checked it) and builds the prescription only after its
+    modulus estimate and auxiliary prime, since building one checks every
+    prime; its stage rule; and whether its records carry the
+    discriminant-norm record."""
 
     shape: BlockShape
     prescription: Callable[[int, int], Optional[SplittingSpec]]
